@@ -348,27 +348,6 @@ def _clip_line_tri3(o, d, tri3):
     return lo, hi
 
 
-def _tri3_pair_segment(ta, tb, plane_a=None, plane_b=None):
-    """Closed intersection of two 3D triangles in distinct planes, as a
-    parametric segment ((o, d), lo, hi) on the plane-intersection line."""
-    na, ca = plane_a if plane_a is not None else _tri3_plane(ta)
-    nb, cb = plane_b if plane_b is not None else _tri3_plane(tb)
-    line = _plane_pair_line(na, ca, nb, cb)
-    if line is None:
-        return None
-    o, d = line
-    ia = _clip_line_tri3(o, d, ta)
-    if ia is None:
-        return None
-    ib = _clip_line_tri3(o, d, tb)
-    if ib is None:
-        return None
-    lo, hi = max(ia[0], ib[0]), min(ia[1], ib[1])
-    if lo > hi:
-        return None
-    return (o, d), lo, hi
-
-
 def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrahedron4]],
                         self_index: int = 0):
     """Triples and quadruples through t0.
@@ -397,25 +376,25 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
             ib, tris_b, plane_b, box_b = polys[b]
             if any(box_a[k][1] < box_b[k][0] or box_b[k][1] < box_a[k][0] for k in range(3)):
                 continue
-            lo = hi = None
-            line = None
-            for ta in tris_a:
-                for tb in tris_b:
-                    seg = _tri3_pair_segment(ta, tb, plane_a, plane_b)
-                    if seg is None:
-                        continue
-                    (o, d), l2, h2 = seg
-                    if line is None:
-                        line = (o, d)
-                        lo, hi = l2, h2
-                    else:
-                        # same supporting line: re-express bounds on it
-                        l3, h3 = _reparam(line, (o, d), l2, h2)
-                        lo, hi = min(lo, l3), max(hi, h3)
+            # every fan triangle of a polygon lies in the polygon's plane, so
+            # all triangle pairs share one line: clip each triangle once
+            line = _plane_pair_line(*plane_a, *plane_b)
             if line is None:
                 continue
-            key = tuple(sorted((self_index, ia, ib)))
             o, d = line
+            clips_a = [c for c in (_clip_line_tri3(o, d, ta) for ta in tris_a) if c is not None]
+            clips_b = [c for c in (_clip_line_tri3(o, d, tb) for tb in tris_b) if c is not None]
+            lo = hi = None
+            for (la, ha) in clips_a:
+                for (lb, hb) in clips_b:
+                    l2, h2 = max(la, lb), min(ha, hb)
+                    if l2 > h2:
+                        continue
+                    lo = l2 if lo is None else min(lo, l2)
+                    hi = h2 if hi is None else max(hi, h2)
+            if lo is None:
+                continue
+            key = tuple(sorted((self_index, ia, ib)))
             mid = (lo + hi) / 2
             wit = lift_fn(tuple(o[k] + mid * d[k] for k in range(3)))
             ends = [
@@ -443,18 +422,6 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
                 key = tuple(sorted((self_index, ia, ib, ic)))
                 quads[key] = lift_fn(pt)
     return triples, quads
-
-
-def _reparam(line_ref, line_other, lo, hi):
-    """Map parameter bounds from one parametrization of a common line to the
-    reference parametrization."""
-    (o1, d1), (o2, d2) = line_ref, line_other
-    k = next(i for i in range(3) if d1[i] != 0)
-    scale = Fraction(d2[k]) / d1[k]
-    shift = Fraction(o2[k] - o1[k]) / d1[k]
-    a = lo * scale + shift
-    b = hi * scale + shift
-    return (a, b) if a <= b else (b, a)
 
 
 def _triple_plane_point(tris_a, tris_b, tris_c, plane_a, plane_b, plane_c):

@@ -128,7 +128,9 @@ class Prism4:
         self.tri_pres = tuple(TrianglePre(t) for t in self.triangles)
 
         def box_of(pts):
-            return tuple((min(p[d] for p in pts), max(p[d] for p in pts)) for d in range(4))
+            # flat (lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3): one tuple per box
+            return (tuple(min(p[d] for p in pts) for d in range(4))
+                    + tuple(max(p[d] for p in pts) for d in range(4)))
 
         self.tet_boxes = tuple(box_of(t.vertices) for t in self.facet_tets)
         self.tri_boxes = tuple(box_of(t.vertices) for t in self.triangles)
@@ -145,10 +147,7 @@ class Prism4:
                 n, c = tuple(-x for x in n), -c
             planes.append((n, c))
         self.hyperplanes = tuple(planes)
-        self.bbox = tuple(
-            (min(v[d] for v in self.vertices), max(v[d] for v in self.vertices))
-            for d in range(4)
-        )
+        self.bbox = box_of(self.vertices)
 
     def contains(self, p: Sequence) -> bool:
         return all(_dot(n, p) - c <= 0 for n, c in self.hyperplanes)
@@ -159,7 +158,8 @@ def lift(mt: MovingTetrahedron) -> Prism4:
 
 
 def _bbox_disjoint(b1, b2) -> bool:
-    return any(b1[d][1] < b2[d][0] or b2[d][1] < b1[d][0] for d in range(4))
+    return (b1[4] < b2[0] or b2[4] < b1[0] or b1[5] < b2[1] or b2[5] < b1[1]
+            or b1[6] < b2[2] or b2[6] < b1[2] or b1[7] < b2[3] or b2[7] < b1[3])
 
 
 def _plane_separates(prism_planes, other_vertices) -> bool:

@@ -14,10 +14,19 @@ Sign conventions used by the intersection predicates:
   sign (computed once per tetrahedron from an interior probe line), are all
   equal and nonzero.  The probe is the line through the centroid along the
   coordinate axis most transverse to the supporting hyperplane.
+* Each orientation determinant orient5(a, b, f0, f1, f2) is bilinear: it is
+  the dot product of the line's ten Plücker coordinates ``plucker10(a, b)``
+  with the facet 2-plane's ten dual coordinates ``dual10(f0, f1, f2)``.
+  Scaling a facet's dual vector by its calibration sign turns the
+  calibrated facet sign into the sign of one 10-term integer dot product.
+* The hyperplane side of a point is the sign of n . p - c for the integer
+  ``tetra_plane`` (n, c); multiplied by the sign of the first nonzero entry
+  of n it equals the side against the normalized ``hyperplane_of``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence, Union
@@ -107,7 +116,7 @@ def _rank_ge_2(d1, d2) -> bool:
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment4:
     a: Point4
     b: Point4
@@ -117,7 +126,7 @@ class Segment4:
             raise ValueError("degenerate segment: equal endpoints")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangle4:
     p: Point4
     q: Point4
@@ -137,7 +146,7 @@ class Triangle4:
         return ((v[1], v[2]), (v[0], v[2]), (v[0], v[1]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Tetrahedron4:
     v0: Point4
     v1: Point4
@@ -256,22 +265,38 @@ def det4(r0, r1, r2, r3):
 
 
 def det5h(r0, r1, r2, r3, r4):
-    """Determinant of five homogeneous rows (x, y, z, w, h)."""
-    out = 0
-    rows = (r1, r2, r3, r4)
-    for j in range(5):
-        c = r0[j]
-        if c == 0:
-            continue
-        cols = [k for k in range(5) if k != j]
-        m = det4(
-            tuple(rows[0][k] for k in cols),
-            tuple(rows[1][k] for k in cols),
-            tuple(rows[2][k] for k in cols),
-            tuple(rows[3][k] for k in cols),
-        )
-        out += c * m if j % 2 == 0 else -c * m
-    return out
+    """Determinant of five homogeneous rows (x, y, z, w, h).
+
+    Laplace expansion along the first two rows: each 2x2 minor of (r0, r1)
+    times the complementary 3x3 minor of (r2, r3, r4), the latter built from
+    the ten 2x2 minors of (r3, r4)."""
+    a0, a1, a2, a3, a4 = r0
+    b0, b1, b2, b3, b4 = r1
+    c0, c1, c2, c3, c4 = r2
+    d0, d1, d2, d3, d4 = r3
+    e0, e1, e2, e3, e4 = r4
+    n01 = d0 * e1 - d1 * e0
+    n02 = d0 * e2 - d2 * e0
+    n03 = d0 * e3 - d3 * e0
+    n04 = d0 * e4 - d4 * e0
+    n12 = d1 * e2 - d2 * e1
+    n13 = d1 * e3 - d3 * e1
+    n14 = d1 * e4 - d4 * e1
+    n23 = d2 * e3 - d3 * e2
+    n24 = d2 * e4 - d4 * e2
+    n34 = d3 * e4 - d4 * e3
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * n34 - c3 * n24 + c4 * n23)
+        - (a0 * b2 - a2 * b0) * (c1 * n34 - c3 * n14 + c4 * n13)
+        + (a0 * b3 - a3 * b0) * (c1 * n24 - c2 * n14 + c4 * n12)
+        - (a0 * b4 - a4 * b0) * (c1 * n23 - c2 * n13 + c3 * n12)
+        + (a1 * b2 - a2 * b1) * (c0 * n34 - c3 * n04 + c4 * n03)
+        - (a1 * b3 - a3 * b1) * (c0 * n24 - c2 * n04 + c4 * n02)
+        + (a1 * b4 - a4 * b1) * (c0 * n23 - c2 * n03 + c3 * n02)
+        + (a2 * b3 - a3 * b2) * (c0 * n14 - c1 * n04 + c4 * n01)
+        - (a2 * b4 - a4 * b2) * (c0 * n13 - c1 * n03 + c3 * n01)
+        + (a3 * b4 - a4 * b3) * (c0 * n12 - c1 * n02 + c2 * n01)
+    )
 
 
 def orient5(p0: Sequence, p1: Sequence, p2: Sequence, p3: Sequence, p4: Sequence) -> Sign:
@@ -281,6 +306,52 @@ def orient5(p0: Sequence, p1: Sequence, p2: Sequence, p3: Sequence, p4: Sequence
 
 def orient5_value(p0, p1, p2, p3, p4):
     return det4(_sub(p1, p0), _sub(p2, p0), _sub(p3, p0), _sub(p4, p0))
+
+
+def plucker10(a: Sequence, b: Sequence):
+    """Plücker coordinates of the line through a and b: the ten 2x2 minors
+    of the rows (a, 1) and (b, 1) on the column pairs (j, k), j < k, of
+    (x, y, z, w, 1), in the order (0,1), (0,2), (0,3), (0,4), (1,2), (1,3),
+    (1,4), (2,3), (2,4), (3,4).
+
+    Together with ``dual10`` this splits orient5 into a line part and a
+    2-flat part (Laplace expansion along the first two rows): the dot
+    product plucker10(a, b) . dual10(f0, f1, f2) equals
+    orient5_value(a, b, f0, f1, f2), so
+
+        sign(plucker10(a, b) . dual10(f0, f1, f2)) == orient5(a, b, f0, f1, f2)
+
+    exactly, for int and Fraction coordinates and for degenerate rows alike.
+    """
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0, a0 - b0,
+            a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a1 - b1,
+            a2 * b3 - a3 * b2, a2 - b2,
+            a3 - b3)
+
+
+def dual10(f0: Sequence, f1: Sequence, f2: Sequence):
+    """Dual Plücker coordinates of the 2-flat through f0, f1, f2: for each
+    column pair (j, k) of ``plucker10``, the 3x3 minor of the rows (f_i, 1)
+    on the other three columns, times the cofactor sign (-1)^(1+j+k).  See
+    ``plucker10`` for the identity with orient5.
+
+    A minor that keeps the column of ones is a 2x2 minor m_pq of the edge
+    vectors f1 - f0 and f2 - f0; one on three coordinate columns p, q, r is
+    f0_p m_qr - f0_q m_pr + f0_r m_pq."""
+    x, y, z, w = f0
+    d1, d2 = _sub(f1, f0), _sub(f2, f0)
+    m01 = d1[0] * d2[1] - d1[1] * d2[0]
+    m02 = d1[0] * d2[2] - d1[2] * d2[0]
+    m03 = d1[0] * d2[3] - d1[3] * d2[0]
+    m12 = d1[1] * d2[2] - d1[2] * d2[1]
+    m13 = d1[1] * d2[3] - d1[3] * d2[1]
+    m23 = d1[2] * d2[3] - d1[3] * d2[2]
+    return (m23, -m13, m12, -(y * m23 - z * m13 + w * m12),
+            m03, -m02, x * m23 - z * m03 + w * m02,
+            m01, -(x * m13 - y * m03 + w * m01),
+            x * m12 - y * m02 + z * m01)
 
 
 # ---------------------------------------------------------------------------
@@ -351,10 +422,12 @@ def twoplane_param(p: Point4, q: Point4, r: Point4) -> TwoPlaneParam:
     anchors = []
     for tx, ty in ((0, 0), (0, 1), (1, 1)):
         # solve p + s d1 + t d2 with x = tx, y = ty
+        # (s, t) = (sn, tn) / det; one Fraction per anchor coordinate
         rx, ry = tx - p.x, ty - p.y
-        s = Fraction(rx * d2[1] - ry * d2[0], det)
-        t = Fraction(d1[0] * ry - d1[1] * rx, det)
-        anchors.append((p.z + s * d1[2] + t * d2[2], p.w + s * d1[3] + t * d2[3]))
+        sn = rx * d2[1] - ry * d2[0]
+        tn = d1[0] * ry - d1[1] * rx
+        anchors.append((Fraction(p.z * det + sn * d1[2] + tn * d2[2], det),
+                        Fraction(p.w * det + sn * d1[3] + tn * d2[3], det)))
     return TwoPlaneParam(*anchors)
 
 
@@ -385,18 +458,41 @@ def facet_orientations(t: Tetrahedron4):
 
 
 class TetraPre:
-    """Cached exact data for one tetrahedron used by the fast predicates."""
+    """Cached exact data for one tetrahedron used by the fast predicates.
 
-    __slots__ = ("tet", "n", "c", "eps", "facets", "basis_rows", "basis_det")
+    Only the plane and the calibration signs are stored.  The facets are
+    rebuilt on access, and the barycentric basis is built on first use:
+    scenes hold many of these (14 per CCD prism), and most never need a
+    basis."""
+
+    __slots__ = ("tet", "n", "c", "eps", "_basis")
 
     def __init__(self, tet: Tetrahedron4):
         self.tet = tet
         self.n, self.c = tetra_plane(tet)
         self.eps = facet_orientations(tet)
-        self.facets = tetra_facets(tet)
-        apex = tuple(tet.v0[i] + self.n[i] for i in range(4))
-        self.basis_rows = [v + (1,) for v in tet.vertices] + [apex + (1,)]
-        self.basis_det = det5h(*self.basis_rows)
+        self._basis = None
+
+    @property
+    def facets(self):
+        return tetra_facets(self.tet)
+
+    @property
+    def basis_rows(self):
+        """Rows (v0, 1) .. (v3, 1), (apex, 1) with apex = v0 + n."""
+        return self._basis_data()[0]
+
+    @property
+    def basis_det(self):
+        return self._basis_data()[1]
+
+    def _basis_data(self):
+        if self._basis is None:
+            tet = self.tet
+            apex = tuple(tet.v0[i] + self.n[i] for i in range(4))
+            rows = [v + (1,) for v in tet.vertices] + [apex + (1,)]
+            self._basis = (rows, det5h(*rows))
+        return self._basis
 
     def bary_signs(self, p: Sequence):
         """Signs of the five affine coordinates of p in the basis
@@ -411,14 +507,21 @@ class TetraPre:
         return out
 
     def contains(self, p: Sequence) -> bool:
-        s = self.bary_signs(p)
-        return s[4] == 0 and all(v >= 0 for v in s[:4])
+        # the apex coordinate of p is (n.p - c) / |n|^2: test the hyperplane
+        # first, then stop at the first negative vertex coordinate
+        if _dot(self.n, p) != self.c:
+            return False
+        ds = _sign(self.basis_det)
+        rows = self.basis_rows
+        pr = _scaled_row(p)
+        for i in range(4):
+            if _sign(det5h(*(rows[:i] + [pr] + rows[i + 1 :]))) * ds < 0:
+                return False
+        return True
 
 
 def _lcm(a: int, b: int) -> int:
-    import math as _m
-
-    return a // _m.gcd(a, b) * b
+    return a // math.gcd(a, b) * b
 
 
 def _scaled_row(p: Sequence):
@@ -430,7 +533,7 @@ def _scaled_row(p: Sequence):
             lam = _lcm(lam, x.denominator)
     if lam == 1:
         return tuple(p) + (1,)
-    return tuple(int(x * lam) for x in p) + (lam,)
+    return tuple(x.numerator * (lam // x.denominator) for x in p) + (lam,)
 
 
 def _scaled_dir_row(d: Sequence):
@@ -441,7 +544,7 @@ def _scaled_dir_row(d: Sequence):
             lam = _lcm(lam, x.denominator)
     if lam == 1:
         return tuple(d) + (0,), 1
-    return tuple(int(x * lam) for x in d) + (0,), lam
+    return tuple(x.numerator * (lam // x.denominator) for x in d) + (0,), lam
 
 
 def point_in_tetra(p: Point4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> bool:
@@ -453,9 +556,10 @@ def point_in_tetra(p: Point4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -
 
 
 def _facet_signs(a, b, pre: TetraPre):
+    v = pre.tet.vertices
     out = []
-    for eps, f in zip(pre.eps, pre.facets):
-        out.append(eps * orient5(a, b, f[0], f[1], f[2]))
+    for eps, (i, j, k) in zip(pre.eps, _FACETS):
+        out.append(eps * orient5(a, b, v[i], v[j], v[k]))
     return out
 
 
@@ -716,10 +820,20 @@ def linsolve(A, b):
 
     Returns (particular_solution, nullspace_basis) or None if inconsistent.
     A is m x n (lists); entries int/Fraction.
+
+    Fraction-free Gauss-Jordan: each row of [A | b] is scaled to integers,
+    eliminated with integer row operations and divided by its content, so
+    the only Fractions built are the reduced-row-echelon entries read off at
+    the end.  That form is unique, so the result does not depend on the
+    pivot order.
     """
     m = len(A)
     n = len(A[0]) if m else 0
-    M = [[Fraction(A[i][j]) for j in range(n)] + [Fraction(b[i])] for i in range(m)]
+    M = []
+    for i in range(m):
+        row = [*A[i], b[i]]
+        den = math.lcm(*(v.denominator for v in row))
+        M.append([v.numerator * (den // v.denominator) for v in row])
     pivots = []
     row = 0
     for col in range(n):
@@ -731,12 +845,14 @@ def linsolve(A, b):
         if piv is None:
             continue
         M[row], M[piv] = M[piv], M[row]
-        pv = M[row][col]
-        M[row] = [v / pv for v in M[row]]
+        prow = M[row]
+        pv = prow[col]
         for r in range(m):
-            if r != row and M[r][col] != 0:
-                f = M[r][col]
-                M[r] = [a - f * c for a, c in zip(M[r], M[row])]
+            f = M[r][col]
+            if r != row and f != 0:
+                new = [pv * a - f * c for a, c in zip(M[r], prow)]
+                g = math.gcd(*new)
+                M[r] = [v // g for v in new] if g > 1 else new
         pivots.append(col)
         row += 1
         if row == m:
@@ -746,14 +862,14 @@ def linsolve(A, b):
             return None
     part = [Fraction(0)] * n
     for r, col in enumerate(pivots):
-        part[col] = M[r][n]
+        part[col] = Fraction(M[r][n], M[r][col])
     free = [c for c in range(n) if c not in pivots]
     basis = []
     for fc in free:
         vec = [Fraction(0)] * n
         vec[fc] = Fraction(1)
         for r, col in enumerate(pivots):
-            vec[col] = -M[r][fc]
+            vec[col] = Fraction(-M[r][fc], M[r][col])
         basis.append(vec)
     return part, basis
 

@@ -12,8 +12,12 @@ per-object calibration sign carry it as an extra +/-1 coordinate).
 Descent classifies each node's bounding box against the query's
 semi-algebraic range by conservative interval arithmetic: INSIDE nodes
 forward their entire item set to the next level as a canonical set, OUTSIDE
-nodes are pruned, CROSSING nodes recurse, and leaves are resolved by exact
-integer-sign tests with a direct-solver fallback for boundary contacts.
+nodes are pruned, CROSSING nodes recurse.  Leaves are resolved by exact
+integer signs with a direct-solver fallback for boundary contacts.  For the
+segment-tetrahedron setups a leaf first takes the two endpoint signs against
+the integer hyperplane (n, c) and stops when both are nonzero and equal (no
+pass can match); otherwise each facet sign is one 10-term dot product of
+the segment's Plücker vector with the facet's calibrated dual vector.
 Results are exactly equal to the brute-force oracle on every input; the
 storage parameter s only controls the leaf cutoff ceil(n^{6/5} / s^{1/5}).
 
@@ -26,7 +30,6 @@ once, in its canonical pass, after an exact closed-set test.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -43,16 +46,18 @@ from .kernel4d import (
     TetraPre,
     Triangle4,
     TrianglePre,
-    _dot,
+    _scaled_row,
     _sign,
     det4,
+    det5h,
+    dual10,
     generic_shear,
     hyperplane_of,
     line_2flat_meet,
     line_param,
     orient5,
+    plucker10,
     segment_tetra_direct,
-    tetra_facets,
     tri_tri_any,
     twoplane_param,
 )
@@ -78,15 +83,15 @@ def _iroot(x: int, k: int) -> int:
     """floor(x ** (1/k)) for non-negative integers, exactly."""
     if x < 0:
         raise ValueError("negative radicand")
-    if x == 0:
-        return 0
-    r = int(round(x ** (1.0 / k)))
-    r = max(r, 1)
-    while r ** k > x:
-        r -= 1
-    while (r + 1) ** k <= x:
-        r += 1
-    return r
+    if x < 2:
+        return x
+    # integer Newton from an over-estimate decreases until it reaches the root
+    r = 1 << -(-x.bit_length() // k)
+    while True:
+        y = ((k - 1) * r + x // r ** (k - 1)) // k
+        if y >= r:
+            return r
+        r = y
 
 
 @dataclass(frozen=True)
@@ -229,7 +234,7 @@ class CanonicalNode:
     its subtree, children for CROSSING descent, and (lazily) the next-level
     structure built on exactly its item set."""
 
-    __slots__ = ("items", "box_lo", "box_hi", "fbox", "children", "is_leaf", "_next", "_lock")
+    __slots__ = ("items", "box_lo", "box_hi", "fbox", "children", "is_leaf", "_next")
 
     def __init__(self, items, box_lo, box_hi, fbox, children, is_leaf):
         self.items = items
@@ -239,7 +244,6 @@ class CanonicalNode:
         self.children = children
         self.is_leaf = is_leaf
         self._next = None
-        self._lock = threading.Lock()
 
 
 class _Tree:
@@ -293,7 +297,8 @@ class _Tree:
 
 
 class _QueryCtx:
-    __slots__ = ("fevals", "xevals", "svals", "adjust", "sigma_cache", "qobj", "pre", "facets")
+    __slots__ = ("fevals", "xevals", "svals", "adjust", "sigma_cache", "qobj", "pre",
+                 "plucker", "plane", "duals")
 
     def __init__(self, fevals, xevals, svals, adjust, qobj):
         self.fevals = fevals      # level -> fn(list[FInterval]) -> FInterval
@@ -378,6 +383,9 @@ class _SetupSegTetra:
     def __init__(self, tetrahedra: Sequence[Tetrahedron4]):
         self.objects = list(tetrahedra)
         self.pres = [TetraPre(t) for t in self.objects]
+        self.planes = [_oriented_plane(pre) for pre in self.pres]
+        # calibrated facet duals, built on a tetrahedron's first leaf test
+        self.duals = [None] * len(self.objects)
         self.levels = [
             LevelSpec("ENDPOINT_SIDE_A", 5, 0, 1, False),
             LevelSpec("ENDPOINT_SIDE_B", 5, 0, -1, False),
@@ -387,16 +395,14 @@ class _SetupSegTetra:
             h = hyperplane_of(t)
             hpoints.append(tuple(h.coeffs) + (h.offset,))
         self.points = [hpoints, hpoints]
-        self.facet_sets = [tetra_facets(t) for t in self.objects]
+        probes = [_tetra_probe_points(t, pre) for t, pre in zip(self.objects, self.pres)]
         for i in range(4):
             lvl = []
-            for j, t in enumerate(self.objects):
-                q = twoplane_param(*self.facet_sets[j][i])
+            for pre, (pa, pb) in zip(self.pres, probes):
+                q = twoplane_param(*pre.facets[i])
                 # calibration: probe sign in the anchor-row representation
-                pre = self.pres[j]
                 anchors = q.lifted()
-                pa, pb = _tetra_probe_points(t, pre)
-                eps_anchor = _sign(_orient5_frac(pa, pb, anchors[0], anchors[1], anchors[2]))
+                eps_anchor = _orient5_frac(pa, pb, anchors[0], anchors[1], anchors[2])
                 if eps_anchor == 0:
                     raise DegenerateDirection("anchor calibration degenerate")
                 lvl.append((eps_anchor,) + q.point6)
@@ -417,22 +423,29 @@ class _SetupSegTetra:
             fe.append(f)
             xe.append(x)
             se.append(s)
-        return _QueryCtx(fe, xe, se, [1] * 6, e)
+        ctx = _QueryCtx(fe, xe, se, [1] * 6, e)
+        ctx.plucker = plucker10(a, b)
+        return ctx
 
     def sigma(self, ctx: _QueryCtx, j: int):
-        cached = ctx.sigma_cache.get(j)
-        if cached is not None:
-            return cached
-        e = ctx.qobj
-        pre = self.pres[j]
-        h = self.points[0][j]
-        s0 = _sign(h[0] * e.a.x + h[1] * e.a.y + h[2] * e.a.z + h[3] * e.a.w - h[4])
-        s1 = _sign(h[0] * e.b.x + h[1] * e.b.y + h[2] * e.b.z + h[3] * e.b.w - h[4])
-        facets = self.facet_sets[j]
-        sig = (s0, s1) + tuple(
-            pre.eps[i] * orient5(e.a, e.b, facets[i][0], facets[i][1], facets[i][2])
-            for i in range(4)
-        )
+        """Per-level signs of tetrahedron j against the query segment; just
+        the two endpoint signs when both are nonzero and equal."""
+        sig = ctx.sigma_cache.get(j)
+        if sig is not None:
+            return sig
+        a, b = ctx.qobj.a, ctx.qobj.b
+        n0, n1, n2, n3, c = self.planes[j]
+        s0 = _sign(n0 * a[0] + n1 * a[1] + n2 * a[2] + n3 * a[3] - c)
+        s1 = _sign(n0 * b[0] + n1 * b[1] + n2 * b[2] + n3 * b[3] - c)
+        if s0 == s1 != 0:
+            sig = (s0, s1)
+        else:
+            d = self.duals[j]
+            if d is None:
+                d = self.duals[j] = _calibrated_duals(self.pres[j])
+            p = ctx.plucker
+            sig = (s0, s1, _facet_sign(p, d[0]), _facet_sign(p, d[1]),
+                   _facet_sign(p, d[2]), _facet_sign(p, d[3]))
         ctx.sigma_cache[j] = sig
         return sig
 
@@ -464,12 +477,13 @@ class _SetupTetraSeg:
             p6.append(lp.point6)
             self.dsign.append(_sign(s.b.w - s.a.w))
         self.points = [pa, pb, p6, p6, p6, p6]
+        self.pluckers = [plucker10(s.a, s.b) for s in self.objects]
 
     def make_ctx(self, t: Tetrahedron4) -> _QueryCtx:
         pre = TetraPre(t)
         h = hyperplane_of(t)
         coeffs = tuple(h.coeffs) + (h.offset,)
-        facets = tetra_facets(t)
+        facets = pre.facets
         fe, xe, se = [], [], []
         for _ in range(2):
             f, x, s = _three_paths(
@@ -485,21 +499,27 @@ class _SetupTetraSeg:
             se.append(s)
         ctx = _QueryCtx(fe, xe, se, [1, 1] + [pre.eps[i] for i in range(4)], t)
         ctx.pre = pre
-        ctx.facets = facets
+        ctx.plane = _oriented_plane(pre)
+        ctx.duals = _calibrated_duals(pre)
         return ctx
 
     def sigma(self, ctx: _QueryCtx, j: int):
-        cached = ctx.sigma_cache.get(j)
-        if cached is not None:
-            return cached
+        """Per-level signs of segment j against the query tetrahedron; just
+        the two endpoint signs when both are nonzero and equal."""
+        sig = ctx.sigma_cache.get(j)
+        if sig is not None:
+            return sig
         seg = self.objects[j]
-        pre = ctx.pre
-        s0 = _sign(_dot(pre.n, seg.a) - pre.c) * _lead_sign(pre.n)
-        s1 = _sign(_dot(pre.n, seg.b) - pre.c) * _lead_sign(pre.n)
-        ds = self.dsign[j]
-        sig = (s0, s1) + tuple(
-            ctx.pre.eps[i] * ds * orient5(seg.a, seg.b, *ctx.facets[i]) for i in range(4)
-        )
+        a, b = seg.a, seg.b
+        n0, n1, n2, n3, c = ctx.plane
+        s0 = _sign(n0 * a[0] + n1 * a[1] + n2 * a[2] + n3 * a[3] - c)
+        s1 = _sign(n0 * b[0] + n1 * b[1] + n2 * b[2] + n3 * b[3] - c)
+        if s0 == s1 != 0:
+            sig = (s0, s1)
+        else:
+            p, d, ds = self.pluckers[j], ctx.duals, self.dsign[j]
+            sig = (s0, s1, ds * _facet_sign(p, d[0]), ds * _facet_sign(p, d[1]),
+                   ds * _facet_sign(p, d[2]), ds * _facet_sign(p, d[3]))
         ctx.sigma_cache[j] = sig
         return sig
 
@@ -537,8 +557,8 @@ class _SetupTriTri:
             q = twoplane_param(*tri.vertices)
             anchors = q.lifted()
             x1, x2 = _triangle_ref_line(tri)
-            da = _sign(_orient5_frac(x1, x2, *anchors))
-            dv = _sign(_orient5_frac(x1, x2, *tri.vertices))
+            da = _orient5_frac(x1, x2, *anchors)
+            dv = _orient5_frac(x1, x2, *tri.vertices)
             if da == 0 or dv == 0:
                 raise DegenerateDirection("plane calibration degenerate")
             self.aov.append(da * dv)
@@ -627,17 +647,31 @@ class _SetupLineFlat:
         return _flat_witness(ctx.qobj, self.objects[j])
 
 
-def _lead_sign(n):
-    for v in n:
-        if v != 0:
-            return 1 if v > 0 else -1
-    return 0
+def _oriented_plane(pre: TetraPre):
+    """The integer (n, c) of the tetrahedron's hyperplane times the sign of
+    n's first nonzero entry: the same side signs as ``hyperplane_of``."""
+    lead = next(v for v in pre.n if v != 0)
+    sg = 1 if lead > 0 else -1
+    return tuple(sg * v for v in pre.n) + (sg * pre.c,)
+
+
+def _calibrated_duals(pre: TetraPre):
+    """Facet i's ``dual10`` times its calibration sign eps[i], so that
+    _facet_sign(plucker10(a, b), duals[i]) == eps[i] * orient5(a, b, *facet_i)."""
+    return tuple(tuple(e * v for v in dual10(*f)) for e, f in zip(pre.eps, pre.facets))
+
+
+def _facet_sign(p, d):
+    """Sign of the 10-term dot product of a Plücker vector and a dual vector."""
+    v = (p[0] * d[0] + p[1] * d[1] + p[2] * d[2] + p[3] * d[3] + p[4] * d[4]
+         + p[5] * d[5] + p[6] * d[6] + p[7] * d[7] + p[8] * d[8] + p[9] * d[9])
+    return (v > 0) - (v < 0)
 
 
 def _orient5_frac(p0, p1, p2, p3, p4):
-    from .kernel4d import orient5_value
-
-    return orient5_value(tuple(p0), tuple(p1), tuple(p2), tuple(p3), tuple(p4))
+    """orient5 of rational points: each homogeneous row (p, 1) is scaled to
+    integers by a positive factor, which keeps the determinant's sign."""
+    return _sign(det5h(*(_scaled_row(p) for p in (p0, p1, p2, p3, p4))))
 
 
 def _tetra_probe_points(t: Tetrahedron4, pre: TetraPre):
@@ -700,9 +734,7 @@ class MultiLevelStructure:
 
     def next_tree(self, node: CanonicalNode, level: int) -> _Tree:
         if node._next is None:
-            with node._lock:
-                if node._next is None:
-                    node._next = _Tree(self, level + 1, node.items)
+            node._next = _Tree(self, level + 1, node.items)
         return node._next
 
     def fingerprint(self):
@@ -758,19 +790,25 @@ def _classify_f(iv: FInterval, target: int):
 
 
 def _leaf_match(run: _Run, setup, level: int, items, passes):
-    """Resolve leaf items exactly for the given passes."""
+    """Resolve leaf items exactly for the given passes.  A sign tuple shorter
+    than the level list is a miss: sigma stopped early because no pass can
+    match."""
     run.stats.leaf_items_scanned += len(items)
     levels = setup.levels
     ctx = run.ctx
-    for j in items:
-        if setup.name == SETUP_LINE_2FLAT:
+    if setup.name == SETUP_LINE_2FLAT:
+        for j in items:
             run.stats.exact_predicate_calls += 1
             if setup.closed_hit(ctx, j):
                 _record(run, j)
-            continue
+        return
+    nlevels = len(levels)
+    for j in items:
         sig = setup.sigma(ctx, j)
         run.stats.exact_predicate_calls += 1
-        if all(s != 0 for s in sig):
+        if len(sig) < nlevels:
+            continue
+        if 0 not in sig:
             for p in passes:
                 if all(s == p[levels[l].group] * levels[l].role for l, s in enumerate(sig)):
                     _record(run, j)

@@ -99,6 +99,18 @@ class TestQuery:
                       "--setup", "seg-tetra", "--sigma", "9"])
         assert rc == 2
 
+    def test_sigma_with_large_numerator(self, work):
+        # sigma = 2001/1000 makes n^2001, beyond any float
+        tets = _gen(work, "t.json", "gen", "--kind", "TETRAHEDRA", "--n", "30",
+                    "--range", "6", "--spread", "7", "--seed", "3")
+        segs = _gen(work, "s.json", "gen", "--kind", "SEGMENTS", "--n", "10",
+                    "--range", "6", "--spread", "7", "--seed", "4")
+        out = str(work / "o.json")
+        rc = run_cli(["query", "--scene", tets, "--queries", segs, "--setup", "seg-tetra",
+                      "--mode", "count", "--sigma", "2.001", "--out", out])
+        assert rc == 0
+        assert json.load(open(out))["mismatch"] is False
+
     def test_incompatible_scene_schema_error(self, work):
         segs = _gen(work, "s.json", "gen", "--kind", "SEGMENTS", "--n", "3",
                     "--seed", "2")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _oracles import det_perm, lp_seg_tetra_feasible
 from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
@@ -21,12 +23,14 @@ from tet4d.kernel4d import (
     Triangle4,
     det4,
     det5h,
+    dual10,
     generic_shear,
     generic_shear_inverse,
     hyperplane_of,
     line_2flat_meet,
     line_param,
     orient5,
+    plucker10,
     point_in_tetra,
     point_in_triangle,
     seg_tetra_hit,
@@ -50,9 +54,59 @@ class TestDeterminants:
             assert det4(*map(tuple, rows)) == det_perm(rows)
 
     def test_det5h_vs_permutation(self, rng):
-        for _ in range(100):
-            rows = [[rng.randint(-9, 9) for _ in range(5)] for _ in range(5)]
+        def entry(i):
+            if i < 100:
+                return rng.randint(-9, 9)
+            k = rng.random()
+            if k < 0.25:
+                return 0
+            return rng.randint(-9, 9) if k < 0.7 else F(rng.randint(-9, 9), rng.randint(1, 7))
+
+        # integer rows, then rational rows with zeros and singular matrices
+        for i in range(300):
+            rows = [[entry(i) for _ in range(5)] for _ in range(5)]
+            if i >= 100 and i % 4 == 0:
+                rows[4] = list(rows[i % 3])
+            elif i >= 100 and i % 4 == 1:
+                rows[3] = [2 * a - b for a, b in zip(rows[0], rows[1])]
             assert det5h(*map(tuple, rows)) == det_perm(rows)
+
+
+class TestLinsolve:
+    def test_matches_rref_oracle(self, rng):
+        from _oracles import _rref
+        from tet4d.kernel4d import linsolve
+
+        def entry():
+            k = rng.random()
+            if k < 0.3:
+                return 0
+            return rng.randint(-9, 9) if k < 0.8 else F(rng.randint(-9, 9), rng.randint(1, 7))
+
+        solved = 0
+        for i in range(400):
+            m, n = rng.randint(1, 5), rng.randint(1, 5)
+            A = [[entry() for _ in range(n)] for _ in range(m)]
+            if m > 1 and i % 3 == 0:
+                A[-1] = [2 * a - b for a, b in zip(A[0], A[1 % m])]  # rank drop
+            b = [entry() for _ in range(m)]
+            got = linsolve(A, b)
+            ref = _rref(A, b)
+            if ref is None:
+                assert got is None
+                continue
+            solved += 1
+            M, piv = ref
+            part, basis = got
+            assert len(basis) == n - len(piv)
+            for r, c in enumerate(piv):
+                assert part[c] == M[r][n]
+            for row, rhs in zip(A, b):
+                assert sum(a * x for a, x in zip(row, part)) == rhs
+                for vec in basis:
+                    assert sum(a * x for a, x in zip(row, vec)) == 0
+            assert all(type(x) is F for x in part)
+        assert solved > 100
 
 
 class TestOrient5:
@@ -126,6 +180,35 @@ class TestHyperplanes:
             val = sum(F(c) * x for c, x in zip(h.coeffs, p)) - h.offset
             expect = POS if val > 0 else (NEG if val < 0 else ZERO)
             assert side_of_hyperplane(p, h) == expect
+
+
+class TestTetraContains:
+    def test_matches_barycentric_solve(self, rng):
+        """contains(p) == p is an affine combination of the vertices with
+        nonnegative weights, on points of the hyperplane (inside, on the
+        boundary and outside) and points off it."""
+        from _oracles import _rref
+
+        inside = 0
+        for i in range(300):
+            t = rnd_tetra(rng, 6, 5)
+            pre = TetraPre(t)
+            lam = [F(rng.randint(-2, 6)) for _ in range(4)]
+            if i % 5 == 0:
+                lam[rng.randrange(4)] = F(0)  # on a facet
+            tot = sum(lam) or F(1)
+            lam = [x / tot for x in lam]
+            p = tuple(sum(lam[k] * t.vertices[k][c] for k in range(4)) for c in range(4))
+            if i % 3 == 0:
+                p = tuple(x + F(1, 3) * (c == i % 4) for c, x in enumerate(p))
+            A = [[t.vertices[k][c] for k in range(4)] for c in range(4)] + [[1, 1, 1, 1]]
+            sol = _rref(A, list(p) + [1])
+            ref = sol is not None and all(M_row[4] >= 0 for M_row in sol[0][:4])
+            assert pre.contains(p) == ref
+            s = pre.bary_signs(p)
+            assert pre.contains(p) == (s[4] == 0 and all(v >= 0 for v in s[:4]))
+            inside += ref
+        assert 50 < inside < 250
 
 
 class TestLineParam:
@@ -385,3 +468,53 @@ class TestPredicateExactness:
             ts = Tetrahedron4(*(Point4(*(lam * c for c in v)) for v in t.vertices))
             es = Segment4(Point4(*(lam * c for c in e.a)), Point4(*(lam * c for c in e.b)))
             assert seg_tetra_hit(e, t) == seg_tetra_hit(es, ts)
+
+
+# ---------------------------------------------------------------------------
+# Plücker / dual split of orient5
+
+
+_coord = st.integers(-6, 6)
+_point = st.tuples(_coord, _coord, _coord, _coord).map(lambda p: Point4(*p))
+
+
+@st.composite
+def _five_rows(draw):
+    """Rows a, b, f0, f1, f2, often in one of the degenerate layouts that
+    random integer points almost never produce."""
+    pts = [draw(_point) for _ in range(5)]
+    layout = draw(st.sampled_from(
+        ("generic", "repeated", "collinear", "hyperplane", "line_in_flat")))
+    k1, k2 = draw(_coord), draw(_coord)
+    if layout == "repeated":
+        i, j = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+        pts[i] = pts[j]
+    elif layout == "collinear":
+        # the three flat rows on one line
+        f0, f1 = pts[2], pts[3]
+        pts[4] = Point4(*(f0[c] + k1 * (f1[c] - f0[c]) for c in range(4)))
+    elif layout == "hyperplane":
+        # all five rows in the hyperplane w = k1
+        pts = [Point4(p.x, p.y, p.z, k1) for p in pts]
+    elif layout == "line_in_flat":
+        # a and b in the 2-flat through f0, f1, f2
+        f0, f1, f2 = pts[2:]
+        for i, (s1, s2) in enumerate(((k1, k2), (k2, 1 - k1))):
+            pts[i] = Point4(*(f0[c] + s1 * (f1[c] - f0[c]) + s2 * (f2[c] - f0[c])
+                              for c in range(4)))
+    if draw(st.booleans()):
+        pts = list(generic_shear(pts, 1))
+    if draw(st.booleans()):
+        dens = [draw(st.integers(1, 7)) for _ in range(5)]
+        pts = [Point4(*(F(x, d) for x in p)) for p, d in zip(pts, dens)]
+    return pts
+
+
+class TestPluckerDual:
+    @settings(max_examples=300, deadline=None)
+    @given(_five_rows())
+    def test_dot_equals_orient5(self, pts):
+        a, b, f0, f1, f2 = pts
+        v = sum(p * d for p, d in zip(plucker10(a, b), dual10(f0, f1, f2)))
+        assert v == det_perm([tuple(p) + (1,) for p in pts])
+        assert (v > 0) - (v < 0) == orient5(a, b, f0, f1, f2)

@@ -5,7 +5,15 @@ import pytest
 
 from conftest import cluster_tetra, rnd_flat, rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d import rangetree as rt
-from tet4d.kernel4d import BudgetOutOfRange, Point4, Segment4, Tetrahedron4
+from tet4d.kernel4d import (
+    BudgetOutOfRange,
+    DegenerateTetrahedron,
+    Point4,
+    Segment4,
+    Tetrahedron4,
+    tetra_facets,
+    tetra_plane,
+)
 from tet4d.oracle import (
     QueryMode,
     line_2flat_query,
@@ -56,6 +64,17 @@ class TestStorageBudget:
     def test_from_sigma_endpoints(self):
         assert StorageBudget.from_sigma(50, 1).s == 50
         assert StorageBudget.from_sigma(50, 6).s == 50 ** 6
+
+    def test_from_sigma_large_exponent(self):
+        # 100^2001 has no float value; the root stays in integers
+        assert StorageBudget.from_sigma(100, F("2.001")).s == 10046
+
+    def test_iroot_exact(self):
+        for k in range(1, 8):
+            for x in list(range(300)) + [10 ** 30 + 7, 2 ** 200 - 1, 2 ** 200]:
+                r = rt._iroot(x, k)
+                assert r ** k <= x < (r + 1) ** k, (x, k)
+        assert rt._iroot(10 ** 4002, 1000) == 10046
 
 
 def _equiv_trial(rng, setup, make_inputs, make_queries, oracle_fn, trial):
@@ -317,3 +336,113 @@ class TestStatsMonotonicity:
             _rep, stats, _ = rt.query_batch(st, segs, QueryMode.COUNT)
             scans.append(stats.leaf_items_scanned)
         assert scans == sorted(scans, reverse=True)
+
+
+def _affine(base, dirs, coeffs):
+    return Point4(*(base[c] + sum(k * (d[c] - base[c]) for k, d in zip(coeffs, dirs))
+                    for c in range(4)))
+
+
+def _degenerate_scene(rng, n_tets=10, n_segs=36):
+    """Tetrahedra that share vertices, and segments in the layouts a random
+    scene almost never holds: an endpoint on a tetrahedron's hyperplane or
+    at a vertex, the whole segment inside a facet 2-plane or along an edge,
+    and constant w."""
+    tets = []
+    while len(tets) < n_tets:
+        vs = list(rnd_tetra(rng, 5, 6).vertices)
+        if tets and rng.random() < 0.6:
+            donor = rng.choice(tets).vertices
+            for i in rng.sample(range(4), rng.randint(1, 3)):
+                vs[i] = donor[rng.randrange(4)]
+        try:
+            tets.append(Tetrahedron4(*vs))
+        except DegenerateTetrahedron:
+            continue
+    segs = []
+    while len(segs) < n_segs:
+        t = rng.choice(tets)
+        v = t.vertices
+        kind = len(segs) % 6
+        other = rnd_point(rng, 8)
+        k = [rng.randint(-2, 2) for _ in range(3)]
+        if kind == 0:      # one endpoint on the hyperplane, maybe outside t
+            a, b = _affine(v[0], v[1:], k), other
+        elif kind == 1:    # one endpoint at a vertex
+            a, b = v[rng.randrange(4)], other
+        elif kind == 2:    # inside a facet 2-plane
+            f = rng.choice(tetra_facets(t))
+            a = _affine(f[0], f[1:], k[:2])
+            b = _affine(f[0], f[1:], (k[2], rng.randint(-2, 2)))
+        elif kind == 3:    # along an edge, or a whole edge
+            i, j = rng.sample(range(4), 2)
+            a, b = v[i], _affine(v[i], (v[j],), (rng.choice((1, 2, -1)),))
+        elif kind == 4:    # constant w
+            a, b = other, Point4(*rnd_point(rng, 8)[:3], other.w)
+        else:              # both endpoints on the hyperplane
+            a = _affine(v[0], v[1:], k)
+            b = _affine(v[0], v[1:], [rng.randint(-2, 2) for _ in range(3)])
+        if tuple(a) != tuple(b):
+            segs.append(Segment4(a, b))
+    return tets, segs
+
+
+class TestDegenerateLeaves:
+    """Structure == oracle on scenes full of zero signs; the oracle evaluates
+    orient5 directly, the structure through Plücker/dual dot products."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_setup_i(self, seed):
+        tets, segs = _degenerate_scene(random.Random(seed))
+        sin, sq, _salt = rt.prepare_scene(rt.SETUP_SEG_TETRA, tets, segs)
+        for sigma in (1, 2, 6):
+            st = rt.build(sin, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(len(sin), sigma))
+            for mode in MODES:
+                rep, _stats, _per = rt.query_batch(st, sq, mode)
+                assert rep == seg_tetra_query(sq, sin, mode), (seed, sigma, mode)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_setup_iii(self, seed):
+        tets, segs = _degenerate_scene(random.Random(100 + seed))
+        sin, sq, _salt = rt.prepare_scene(rt.SETUP_TETRA_SEG, segs, tets)
+        for sigma in (1, 2, 6):
+            st = rt.build(sin, rt.SETUP_TETRA_SEG, StorageBudget.from_sigma(len(sin), sigma))
+            for mode in MODES:
+                rep, _stats, _per = rt.query_batch(st, sq, mode)
+                assert rep == tetra_seg_query(sq, sin, mode), (seed, sigma, mode)
+
+    def test_scene_has_the_degenerate_layouts(self):
+        tets, segs = _degenerate_scene(random.Random(0))
+        sides = [_endpoint_sides(t, e) for t in tets for e in segs]
+        assert sum(sa == 0 or sb == 0 for sa, sb in sides) > len(segs)
+        assert any(sa == sb == 0 for sa, sb in sides)
+        assert any(e.a.w == e.b.w for e in segs)
+
+
+def _endpoint_sides(tet, seg):
+    """n . a - c and n . b - c for the tetrahedron's integer hyperplane."""
+    n, c = tetra_plane(tet)
+    return (sum(x * y for x, y in zip(n, seg.a)) - c,
+            sum(x * y for x, y in zip(n, seg.b)) - c)
+
+
+@pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TETRA_SEG))
+def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
+    # at sigma = 2 every pair reaches a leaf once; only pairs whose endpoints
+    # are not strictly on one side of the hyperplane pay four dot products
+    rng = random.Random(7)
+    tets = [rnd_tetra(rng, 8, 8) for _ in range(40)]
+    segs = [rnd_segment(rng, 8, 8) for _ in range(30)]
+    seg_tetra = setup == rt.SETUP_SEG_TETRA
+    sin, sq, _salt = rt.prepare_scene(setup, *((tets, segs) if seg_tetra else (segs, tets)))
+    st = rt.build(sin, setup, StorageBudget.from_sigma(len(sin), 2))
+    calls = []
+    facet_sign = rt._facet_sign
+    monkeypatch.setattr(rt, "_facet_sign", lambda p, d: calls.append(1) or facet_sign(p, d))
+    _rep, stats, _per = rt.query_batch(st, sq, QueryMode.COUNT)
+    assert stats.leaf_items_scanned == len(sin) * len(sq)
+    sheared_tets, sheared_segs = (sin, sq) if seg_tetra else (sq, sin)
+    straddling = sum(sa * sb <= 0 for t in sheared_tets for e in sheared_segs
+                     for sa, sb in [_endpoint_sides(t, e)])
+    assert 0 < straddling < len(sin) * len(sq)
+    assert len(calls) == 4 * straddling
