@@ -69,7 +69,7 @@ def _canon(p) -> Point4:
 # pairwise witnesses via batched structure queries
 
 
-def pairwise(tetrahedra: Sequence[Tetrahedron4], seed: int = 0) -> List[PairWitness]:
+def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
     """One witness vertex per intersecting pair; the pair set equals the
     oracle's k2 pair set."""
     from . import rangetree as rt
@@ -83,7 +83,7 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4], seed: int = 0) -> List[PairWitn
         for (u, v) in tetra_edges(t):
             edges.append(Segment4(u, v))
             owner.append(i)
-    rep, _ = rt._batched(rt.SETUP_SEG_TETRA, tetrahedra, edges, QueryMode.REPORT, seed)
+    rep, _ = rt._batched(rt.SETUP_SEG_TETRA, tetrahedra, edges, QueryMode.REPORT)
     found: Dict[Tuple[int, int], PairWitness] = {}
     for (qi, j, w) in rep.pairs:
         i = owner[qi]
@@ -99,7 +99,7 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4], seed: int = 0) -> List[PairWitn
         for f in tetra_facets(t):
             faces.append(Triangle4(*f))
             fowner.append(i)
-    rep, _ = rt._batched(rt.SETUP_TRI_TRI, faces, faces, QueryMode.REPORT, seed)
+    rep, _ = rt._batched(rt.SETUP_TRI_TRI, faces, faces, QueryMode.REPORT)
     for (qi, oj, w) in rep.pairs:
         i, j = fowner[qi], fowner[oj]
         if i == j:
@@ -456,9 +456,9 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
     return triples, quads
 
 
-def k_counts(tetrahedra: Sequence[Tetrahedron4], seed: int = 0):
+def k_counts(tetrahedra: Sequence[Tetrahedron4]):
     """(k2, k3, k4) by the reduction pipeline; equals the oracle counts."""
-    witnesses = pairwise(tetrahedra, seed)
+    witnesses = pairwise(tetrahedra)
     adj: Dict[int, List[int]] = {}
     for w in witnesses:
         i, j = w.pair

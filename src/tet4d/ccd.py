@@ -218,7 +218,7 @@ def ccd_oracle_pairs(prisms: Sequence[Prism4]) -> List[Tuple[int, int]]:
 # divide and conquer with batched structure queries
 
 
-def _bichromatic_pairs(prisms, left, right, threshold: int, seed: int):
+def _bichromatic_pairs(prisms, left, right, threshold: int):
     if len(left) <= threshold and len(right) <= threshold:
         out = []
         for i in left:
@@ -242,7 +242,7 @@ def _bichromatic_pairs(prisms, left, right, threshold: int, seed: int):
                 pairs.add((min(i, j), max(i, j)))
 
     def feature_pairs(owner_a, feats_a, owner_b, tets_b, setup):
-        rep, _stats = rt._batched(setup, tets_b, feats_a, QueryMode.REPORT, seed)
+        rep, _stats = rt._batched(setup, tets_b, feats_a, QueryMode.REPORT)
         return [(owner_a[qi], owner_b[oj]) for (qi, oj, _w) in rep.pairs]
 
     # edges of one side vs facet tetrahedra of the other
@@ -272,7 +272,7 @@ def _bichromatic_pairs(prisms, left, right, threshold: int, seed: int):
         for t in prisms[j].triangles:
             tris_b.append(t)
             owner_b.append(j)
-    rep, _stats = rt._batched(rt.SETUP_TRI_TRI, tris_b, tris_a, QueryMode.REPORT, seed)
+    rep, _stats = rt._batched(rt.SETUP_TRI_TRI, tris_b, tris_a, QueryMode.REPORT)
     for (qi, oj, _w) in rep.pairs:
         oi, ojj = owner_a[qi], owner_b[oj]
         if oi != ojj:
@@ -280,7 +280,7 @@ def _bichromatic_pairs(prisms, left, right, threshold: int, seed: int):
     return sorted(pairs)
 
 
-def _dc_pairs(prisms, indices, threshold: int, seed: int):
+def _dc_pairs(prisms, indices, threshold: int):
     n = len(indices)
     if n < 2:
         return []
@@ -294,19 +294,19 @@ def _dc_pairs(prisms, indices, threshold: int, seed: int):
         return out
     mid = n // 2
     left, right = indices[:mid], indices[mid:]
-    out = _dc_pairs(prisms, left, threshold, seed)
-    out += _dc_pairs(prisms, right, threshold, seed)
-    out += _bichromatic_pairs(prisms, left, right, threshold, seed)
+    out = _dc_pairs(prisms, left, threshold)
+    out += _dc_pairs(prisms, right, threshold)
+    out += _bichromatic_pairs(prisms, left, right, threshold)
     return sorted(set(out))
 
 
 def detect_collisions(scene: Sequence[MovingTetrahedron], mode: QueryMode,
-                      threshold: int = 32, seed: int = 0) -> IntersectionReport:
+                      threshold: int = 32) -> IntersectionReport:
     """Pairs of moving tetrahedra whose lifted prisms intersect; witnesses
     are intersection points of the prisms, whose w-coordinate is a collision
     time."""
     prisms = [lift(mt) for mt in scene]
-    pairs = _dc_pairs(prisms, list(range(len(scene))), threshold, seed)
+    pairs = _dc_pairs(prisms, list(range(len(scene))), threshold)
     if mode == QueryMode.DETECT:
         det = bool(pairs)
         return IntersectionReport(det, 1 if det else 0, [])

@@ -21,7 +21,7 @@ from typing import List, Optional
 
 from . import rangetree as rt
 from .ccd import detect_collisions, lift
-from .kernel4d import GeometryError, Point4, generic_shear_inverse
+from .kernel4d import GeometryError
 from .oracle import (
     IntersectionReport,
     QueryMode,
@@ -121,41 +121,27 @@ def _oracle_report(setup_key: str, inputs, queries, mode: QueryMode) -> Intersec
     return line_2flat_query(queries, inputs, mode)
 
 
-def _unshear_report(rep: IntersectionReport, salt: int) -> IntersectionReport:
-    if salt == 0 or not rep.pairs:
-        return rep
-    pairs = []
-    for (i, j, w) in rep.pairs:
-        (w0,) = generic_shear_inverse([w], salt)
-        pairs.append((i, j, Point4(*w0)))
-    return IntersectionReport(rep.detected, rep.count, pairs)
-
-
-def run_query(setup_key: str, inputs, queries, mode: QueryMode, sigma, engine: str,
-              seed: int = 0):
+def run_query(setup_key: str, inputs, queries, mode: QueryMode, sigma, engine: str):
     """Returns (payload dict, mismatch flag)."""
     setup = SETUPS[setup_key]
     n = len(inputs)
-    sinputs, squeries, salt = rt.prepare_scene(setup, inputs, queries)
     payload = {"setup": setup_key, "mode": mode.value, "engine": engine,
-               "n": n, "m": len(queries), "salt": salt, "sigma": str(sigma)}
+               "n": n, "m": len(queries), "sigma": str(sigma)}
     mismatch = False
 
     oracle_rep = None
     if engine in ("oracle", "both"):
-        oracle_rep = _unshear_report(
-            _oracle_report(setup_key, sinputs, squeries, mode), salt)
+        oracle_rep = _oracle_report(setup_key, inputs, queries, mode)
         payload["oracle"] = _report_json(oracle_rep)
 
     if engine in ("structure", "both"):
         budget = StorageBudget.from_sigma(n, sigma) if n else StorageBudget(0, 1)
         payload["s"] = budget.s
         payload["leafCutoff"] = budget.leaf_cutoff if n else 0
-        structure = rt.build(sinputs, setup, budget, seed)
+        structure = rt.build(inputs, setup, budget)
         t0 = time.perf_counter()
-        rep, stats, per_query = rt.query_batch(structure, squeries, mode)
+        rep, stats, per_query = rt.query_batch(structure, queries, mode)
         payload["wallMillis"] = round((time.perf_counter() - t0) * 1000.0, 3)
-        rep = _unshear_report(rep, salt)
         payload["structure"] = _report_json(rep)
         payload["stats"] = _stats_json(stats)
         payload["buildNodes"] = structure.built_nodes
@@ -196,7 +182,7 @@ def cmd_query(args):
     if not (1 <= sigma <= 6):
         _fail(2, f"sigma {args.sigma} outside [1, 6]")
     payload, mismatch = run_query(args.setup, inputs, queries, _mode(args.mode),
-                                  sigma, args.engine, args.seed)
+                                  sigma, args.engine)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -228,7 +214,7 @@ def cmd_ccd(args):
         moving = decode_objects(scene)
     except SchemaError as ex:
         _fail(3, str(ex))
-    rep = detect_collisions(moving, _mode(args.mode), seed=args.seed)
+    rep = detect_collisions(moving, _mode(args.mode))
     payload = {
         "mode": args.mode,
         "n": len(moving),
@@ -259,7 +245,7 @@ def cmd_arrange(args):
     except GeometryError as ex:
         _fail(3, f"arrangement counts undefined on this scene: {ex}")
     try:
-        got, error = k_counts(tets, args.seed), None
+        got, error = k_counts(tets), None
     except GeometryError as ex:
         got, error = None, ex
     mismatch = got != oracle.counts()
@@ -311,7 +297,7 @@ def cmd_bench(args):
         block = []
         for sg in grid:
             payload, mismatch = run_query(args.setup, inputs, queries,
-                                          QueryMode.COUNT, sg, "both", args.seed)
+                                          QueryMode.COUNT, sg, "both")
             any_mismatch = any_mismatch or mismatch
             med = statistics.median(payload["perQueryLeafItems"]) if payload["perQueryLeafItems"] else 0
             medians.append(med)
@@ -369,6 +355,9 @@ def cmd_predict(args):
 # ---------------------------------------------------------------------------
 
 
+_SEED_HELP = "ignored; only gen uses the seed"
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tet4d",
                                  description="Exact intersection queries in R^4")
@@ -394,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--mode", choices=["detect", "count", "report"], default="count")
     q.add_argument("--sigma", default="2")
     q.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     q.add_argument("--format", choices=["json", "csv"], default="json")
     q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_query)
@@ -405,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--mode", choices=["detect", "count", "report"], default="count")
     f.add_argument("--sigma", default="2")
     f.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
-    f.add_argument("--seed", type=int, default=0)
+    f.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     f.add_argument("--format", choices=["json", "csv"], default="json")
     f.add_argument("--out", default=None)
     f.set_defaults(fn=cmd_flats)
@@ -413,13 +402,13 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("ccd", help="continuous collision detection")
     c.add_argument("--scene", required=True)
     c.add_argument("--mode", choices=["detect", "count", "report"], default="report")
-    c.add_argument("--seed", type=int, default=0)
+    c.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     c.add_argument("--out", default=None)
     c.set_defaults(fn=cmd_ccd)
 
     a = sub.add_parser("arrange", help="arrangement entity counts k2/k3/k4")
     a.add_argument("--scene", required=True)
-    a.add_argument("--seed", type=int, default=0)
+    a.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     a.add_argument("--witness-out", default=None)
     a.add_argument("--out", default=None)
     a.set_defaults(fn=cmd_arrange)
@@ -430,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--setup", required=True, choices=list(SETUPS))
     b.add_argument("--sigma-grid", default="1,1.5,2,3,6")
     b.add_argument("--repetitions", type=int, default=1)
-    b.add_argument("--seed", type=int, default=0)
+    b.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bench)
 

@@ -17,8 +17,11 @@ Sign conventions used by the intersection predicates:
 * Each orientation determinant orient5(a, b, f0, f1, f2) is bilinear: it is
   the dot product of the line's ten Plücker coordinates ``plucker10(a, b)``
   with the facet 2-plane's ten dual coordinates ``dual10(f0, f1, f2)``.
-  Scaling a facet's dual vector by its calibration sign turns the
-  calibrated facet sign into the sign of one 10-term integer dot product.
+  Scaling a facet's dual vector (or a triangle edge's Plücker vector) by
+  its calibration sign turns the calibrated sign into the sign of one
+  10-term integer dot product.  The search structure's orientation levels
+  store exactly these vectors, so no line or 2-plane parametrization is
+  needed and no input direction is special.
 * The hyperplane side of a point is the sign of n . p - c for the integer
   ``tetra_plane`` (n, c); multiplied by the sign of the first nonzero entry
   of n it equals the side against the normalized ``hyperplane_of``.
@@ -397,7 +400,8 @@ def side_of_hyperplane(p: Point4, h: Hyperplane4) -> Sign:
 
 
 # ---------------------------------------------------------------------------
-# parametrizations
+# parametrizations (nothing in the package calls these or the shear below;
+# they stay because perfbench's tracer looks them up by name)
 
 
 def line_param(s: Segment4) -> LineParam:
@@ -1087,8 +1091,7 @@ def shear_matrix(salt: int):
     whose coefficients are staggered powers of s = 4 + 3*salt.  Any fixed
     degeneracy condition (a constant-w direction, a 2-plane vertical over
     the xy anchor frame, a vanishing calibration determinant) is a nonzero
-    polynomial in s, so it survives only finitely many salts and the salt
-    search in prepare_scene terminates.
+    polynomial in s, so it survives only finitely many salts.
     """
     ident = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
     if salt == 0:

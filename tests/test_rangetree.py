@@ -7,12 +7,16 @@ from conftest import cluster_tetra, rnd_flat, rnd_point, rnd_segment, rnd_tetra,
 from tet4d import rangetree as rt
 from tet4d.kernel4d import (
     BudgetOutOfRange,
+    DegenerateDirection,
     DegenerateTetrahedron,
     Point4,
     Segment4,
     Tetrahedron4,
+    Triangle4,
+    line_param,
     tetra_facets,
     tetra_plane,
+    twoplane_param,
 )
 from tet4d.oracle import (
     QueryMode,
@@ -26,11 +30,7 @@ from tet4d.rangetree import (
     INSIDE,
     OUTSIDE,
     StorageBudget,
-    batched_seg_tetra,
     batched_storage_parameter,
-    batched_tri_tri,
-    classify_box,
-    exact_ranges,
 )
 
 F = Fraction
@@ -209,7 +209,7 @@ class TestDeterminism:
         stats = []
         fps = []
         for _rep in range(2):
-            st = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(20, 3), seed=5)
+            st = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(20, 3))
             rep, agg, per = rt.query_batch(st, segs, QueryMode.REPORT)
             reports.append(rep)
             stats.append([(q.nodes_visited, q.canonical_sets_touched,
@@ -220,76 +220,126 @@ class TestDeterminism:
         assert fps[0] == fps[1]
 
 
+ALL_SETUPS = (rt.SETUP_SEG_TETRA, rt.SETUP_TRI_TRI, rt.SETUP_TETRA_SEG, rt.SETUP_LINE_2FLAT)
+_MAKERS = {
+    rt.SETUP_SEG_TETRA: (rnd_tetra, rnd_segment),
+    rt.SETUP_TRI_TRI: (rnd_triangle, rnd_triangle),
+    rt.SETUP_TETRA_SEG: (rnd_segment, rnd_tetra),
+    rt.SETUP_LINE_2FLAT: (rnd_flat, rnd_segment),
+}
+
+
+def _scene(rng, setup, n, m, crange=6, spread=7):
+    make_input, make_query = _MAKERS[setup]
+    return ([make_input(rng, crange, spread) for _ in range(n)],
+            [make_query(rng, crange, spread) for _ in range(m)])
+
+
+def _value(form, x):
+    return sum(c * v for c, v in zip(form, x))
+
+
+def _level_trees(st):
+    """One tree per level over every object, all of whose nodes are walked."""
+    return [rt._Tree(st, level, tuple(range(st.n))) for level in range(len(st.levels))]
+
+
+def _nodes(node):
+    yield node
+    for ch in node.children or ():
+        yield from _nodes(ch)
+
+
+def _expected_class(signs, target):
+    """The classification a box holding exactly these signs must get."""
+    if target == 0:
+        return OUTSIDE if 0 not in signs and len(signs) == 1 else CROSSING
+    if signs == {target}:
+        return INSIDE
+    if signs == {-target}:
+        return OUTSIDE
+    return CROSSING
+
+
 class TestClassifyBox:
+    """Every level is a linear form over an integer box, so its range is
+    exact: both ends are values at corners, and nothing else is needed."""
+
     def test_linear_box_inside(self, rng):
-        tets, segs, _ = rt.prepare_scene(
-            rt.SETUP_SEG_TETRA, [rnd_tetra(rng, 6, 7) for _ in range(5)],
-            [rnd_segment(rng, 6, 7) for _ in range(1)])
-        st = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(5, 2))
-        ranges = exact_ranges(st, segs[0], (1, 1))
-        lin = ranges[0]
-        # a degenerate box at a point strictly inside the positive side
-        for j in range(5):
-            pt = st.points[0][j]
-            box = [(c, c) for c in pt]
-            val = st.setup.sigma(st.setup.make_ctx(segs[0]), j)[0]
-            cls = classify_box(box, lin)
-            if val > 0:
-                assert cls == INSIDE
-            elif val < 0:
-                assert cls == OUTSIDE
+        # a point box takes the sign that sigma gives the object
+        for setup in ALL_SETUPS:
+            inputs, queries = _scene(rng, setup, 8, 4)
+            st = rt.build(inputs, setup, StorageBudget.from_sigma(8, 2))
+            for q in queries:
+                ctx = st.setup.make_ctx(q)
+                for j in range(st.n):
+                    sig = st.setup.sigma(ctx, j)
+                    for level, spec in enumerate(st.levels):
+                        pt = st.points[level][j]
+                        assert len(pt) == spec.dim
+                        assert all(type(c) is int for c in pt)
+                        lo, hi = rt._form_range(ctx.forms[level], pt, pt)
+                        assert lo == hi == _value(ctx.forms[level], pt)
+                        s = (lo > 0) - (lo < 0)
+                        if level < len(sig):
+                            assert sig[level] == s, (setup, level)
+                        for target in {p[spec.group] * spec.role for p in st.setup.passes}:
+                            assert rt._classify(lo, hi, target) == _expected_class({s}, target)
 
     def test_root_box_crossing_when_mixed(self, rng):
-        tets, segs, _ = rt.prepare_scene(
-            rt.SETUP_SEG_TETRA, [rnd_tetra(rng, 8, 8) for _ in range(30)],
-            [rnd_segment(rng, 8, 8) for _ in range(1)])
-        st = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(30, 2))
-        ctx = st.setup.make_ctx(segs[0])
-        vals = [st.setup.sigma(ctx, j)[0] for j in range(30)]
-        if any(v > 0 for v in vals) and any(v < 0 for v in vals):
-            root = st.root_tree.root
-            box = list(zip(root.box_lo, root.box_hi))
-            assert classify_box(box, exact_ranges(st, segs[0], (1, 1))[0]) == CROSSING
+        for setup in ALL_SETUPS:
+            inputs, queries = _scene(rng, setup, 30, 3, 8, 8)
+            st = rt.build(inputs, setup, StorageBudget.from_sigma(30, 2))
+            mixed = 0
+            for q in queries:
+                ctx = st.setup.make_ctx(q)
+                for level, tree in enumerate(_level_trees(st)):
+                    form = ctx.forms[level]
+                    vals = [_value(form, st.points[level][j]) for j in range(st.n)]
+                    lo, hi = rt._form_range(form, tree.root.box_lo, tree.root.box_hi)
+                    assert lo <= min(vals) and max(vals) <= hi
+                    if min(vals) < 0 < max(vals):
+                        mixed += 1
+                        for target in (1, -1, 0):
+                            assert rt._classify(lo, hi, target) == CROSSING
+            assert mixed > 0, setup
 
     def test_conservative_on_random_boxes(self, rng):
-        # INSIDE implies the predicate holds at all corners and at interior
-        # rational sample points; OUTSIDE implies it fails there
-        tets, segs, _ = rt.prepare_scene(
-            rt.SETUP_SEG_TETRA, [rnd_tetra(rng, 6, 7) for _ in range(8)],
-            [rnd_segment(rng, 6, 7) for _ in range(8)])
-        st = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(8, 2))
+        # INSIDE and OUTSIDE nodes agree with the form's sign at every corner
+        # and at random interior points, integer and rational; the range ends
+        # are the values at the extreme corners
         checked = 0
-        for seg in segs:
-            for pass_t in ((1, 1), (-1, 1)):
-                ranges = exact_ranges(st, seg, pass_t)
-                for lvl, rngobj in enumerate(ranges):
-                    dim = st.levels[lvl].dim
-                    for _ in range(6):
-                        lo = [F(rng.randint(-60, 50), rng.randint(1, 7)) for _ in range(dim)]
-                        box = [(l, l + F(rng.randint(0, 20), rng.randint(1, 5))) for l in lo]
-                        cls = classify_box(box, rngobj)
-                        if cls == CROSSING:
-                            continue
-                        checked += 1
-                        samples = []
-                        import itertools
-
-                        for corner in itertools.product(*(((b[0], b[1]) if b[0] != b[1] else (b[0],))
-                                                          for b in box)):
-                            samples.append(corner)
-                            if len(samples) > 16:
-                                break
-                        for _s in range(6):
-                            samples.append(tuple(
-                                b[0] + (b[1] - b[0]) * F(rng.randint(0, 8), 8) for b in box))
-                        for pt in samples:
-                            val = rngobj.xeval([rt.XInterval(c, c) for c in pt])
-                            assert val.lo == val.hi
+        for setup in ALL_SETUPS:
+            inputs, queries = _scene(rng, setup, 12, 3)
+            st = rt.build(inputs, setup, StorageBudget.from_sigma(12, 6))
+            for q in queries:
+                ctx = st.setup.make_ctx(q)
+                for level, tree in enumerate(_level_trees(st)):
+                    form = ctx.forms[level]
+                    for node in _nodes(tree.root):
+                        box = list(zip(node.box_lo, node.box_hi))
+                        lo, hi = rt._form_range(form, node.box_lo, node.box_hi)
+                        low_corner = [b[0] if c > 0 else b[1] for c, b in zip(form, box)]
+                        high_corner = [b[1] if c > 0 else b[0] for c, b in zip(form, box)]
+                        assert (lo, hi) == (_value(form, low_corner), _value(form, high_corner))
+                        samples = [low_corner, high_corner]
+                        samples += [[rng.choice(b) for b in box] for _ in range(24)]
+                        samples += [[rng.randint(*b) for b in box] for _ in range(6)]
+                        samples += [[b[0] + (b[1] - b[0]) * F(rng.randint(0, 8), 8) for b in box]
+                                    for _ in range(6)]
+                        signs = {(v > 0) - (v < 0) for v in (_value(form, x) for x in samples)}
+                        for target in (1, -1, 0):
+                            cls = rt._classify(lo, hi, target)
+                            if cls == CROSSING:
+                                continue
+                            checked += 1
                             if cls == INSIDE:
-                                assert (val.lo > 0) if rngobj.target > 0 else (val.lo < 0)
+                                assert signs == {target}
+                            elif target == 0:
+                                assert 0 not in signs and len(signs) == 1
                             else:
-                                assert (val.lo <= 0) if rngobj.target > 0 else (val.lo >= 0)
-        assert checked > 20
+                                assert signs == {-target}
+        assert checked > 100
 
 
 class TestBatched:
@@ -301,27 +351,20 @@ class TestBatched:
     def test_batched_tri_tri_single_pair(self):
         from test_kernel4d import SPEC_T1, SPEC_T2
 
-        rep = batched_tri_tri([SPEC_T1], [SPEC_T2], QueryMode.REPORT)
+        rep, _stats = rt._batched(rt.SETUP_TRI_TRI, [SPEC_T2], [SPEC_T1], QueryMode.REPORT)
         assert rep.count == 1
 
     def test_batched_tri_tri_matches_oracle(self, rng):
         red = [rnd_triangle(rng, 6, 7) for _ in range(40)]
         blue = [rnd_triangle(rng, 6, 7) for _ in range(40)]
-        rep = batched_tri_tri(red, blue, QueryMode.REPORT)
+        rep, _stats = rt._batched(rt.SETUP_TRI_TRI, blue, red, QueryMode.REPORT)
         assert rep == tri_tri_query(red, blue, QueryMode.REPORT)
 
     def test_batched_seg_tetra_matches_oracle(self, rng):
         segs = [rnd_segment(rng, 6, 7) for _ in range(30)]
         tets = [rnd_tetra(rng, 6, 7) for _ in range(30)]
-        rep = batched_seg_tetra(segs, tets, QueryMode.COUNT)
+        rep, _stats = rt._batched(rt.SETUP_SEG_TETRA, tets, segs, QueryMode.COUNT)
         assert rep.count == seg_tetra_query(segs, tets, QueryMode.COUNT).count
-
-    def test_regime_fallback(self, rng):
-        # m > n^6 routes to the plain oracle
-        blue = [rnd_triangle(rng, 3, 3)]
-        red = [rnd_triangle(rng, 3, 3) for _ in range(3)]
-        rep = batched_tri_tri(red, blue, QueryMode.COUNT)
-        assert rep.count == tri_tri_query(red, blue, QueryMode.COUNT).count
 
 
 class TestStatsMonotonicity:
@@ -434,15 +477,120 @@ def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
     tets = [rnd_tetra(rng, 8, 8) for _ in range(40)]
     segs = [rnd_segment(rng, 8, 8) for _ in range(30)]
     seg_tetra = setup == rt.SETUP_SEG_TETRA
-    sin, sq, _salt = rt.prepare_scene(setup, *((tets, segs) if seg_tetra else (segs, tets)))
+    sin, sq = (tets, segs) if seg_tetra else (segs, tets)
     st = rt.build(sin, setup, StorageBudget.from_sigma(len(sin), 2))
     calls = []
     facet_sign = rt._facet_sign
     monkeypatch.setattr(rt, "_facet_sign", lambda p, d: calls.append(1) or facet_sign(p, d))
     _rep, stats, _per = rt.query_batch(st, sq, QueryMode.COUNT)
     assert stats.leaf_items_scanned == len(sin) * len(sq)
-    sheared_tets, sheared_segs = (sin, sq) if seg_tetra else (sq, sin)
-    straddling = sum(sa * sb <= 0 for t in sheared_tets for e in sheared_segs
+    straddling = sum(sa * sb <= 0 for t in tets for e in segs
                      for sa, sb in [_endpoint_sides(t, e)])
     assert 0 < straddling < len(sin) * len(sq)
     assert len(calls) == 4 * straddling
+
+
+def _xy_triangle(rng, kind, crange=3):
+    """A triangle whose 2-plane projects to a point (kind 0) or to a line
+    (kind 1) in the (x, y) coordinates."""
+    while True:
+        x0, y0 = rng.randint(-crange, crange), rng.randint(-crange, crange)
+        u, v = (0, 0) if kind == 0 else rng.choice(((1, 0), (0, 1), (1, 1), (2, -1)))
+        pts = []
+        for _ in range(3):
+            t = rng.randint(-2, 2)
+            pts.append(Point4(x0 + t * u, y0 + t * v,
+                              rng.randint(-crange, crange), rng.randint(-crange, crange)))
+        try:
+            return Triangle4(*pts)
+        except ValueError:
+            continue
+
+
+def _xy_tetra(rng, crange=3):
+    """A tetrahedron with a facet from ``_xy_triangle``."""
+    while True:
+        f = _xy_triangle(rng, rng.randrange(2), crange)
+        try:
+            return Tetrahedron4(*f.vertices, rnd_point(rng, crange))
+        except DegenerateTetrahedron:
+            continue
+
+
+def _flat_w_segment(rng, through, crange=3):
+    """A constant-w segment through the point `through` (or a random one)."""
+    while True:
+        p = through if through is not None else rnd_point(rng, crange)
+        d = (rng.randint(-2, 2), rng.randint(-2, 2), rng.randint(-2, 2), 0)
+        if any(d):
+            return Segment4(Point4(*(p[i] - d[i] for i in range(4))),
+                            Point4(*(p[i] + d[i] for i in range(4))))
+
+
+def _centroid(points):
+    return Point4(*(F(sum(p[i] for p in points), len(points)) for i in range(4)))
+
+
+def _direction_scene(rng, n=12, m=12):
+    """Tetrahedra, triangles and flats whose 2-planes project to a line or a
+    point in (x, y), and constant-w segments through them: the layouts
+    that anchor parametrizations reject."""
+    tets = [_xy_tetra(rng) for _ in range(n)]
+    tris = [_xy_triangle(rng, k % 2) for k in range(n)]
+    segs = [_flat_w_segment(rng, _centroid(rng.choice(tets).vertices) if k % 3 else None)
+            for k in range(m)]
+    for t in tets + tris:
+        with pytest.raises(DegenerateDirection):
+            twoplane_param(*(tetra_facets(t)[3] if isinstance(t, Tetrahedron4) else t.vertices))
+    for s in segs:
+        with pytest.raises(DegenerateDirection):
+            line_param(s)
+    return tets, tris, segs
+
+
+class TestDegenerateDirections:
+    """Structure == oracle, in every mode, on the layouts that used to need
+    a shear; the scenes are built directly, with no preparation step."""
+
+    def _check(self, setup, inputs, queries, oracle_fn):
+        assert rt.prepare_scene(setup, inputs, queries) == (inputs, queries, 0)
+        hits = 0
+        for sigma in (1, 2, 6):
+            st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+            for mode in MODES:
+                rep, _stats, _per = rt.query_batch(st, queries, mode)
+                assert rep == oracle_fn(queries, inputs, mode), (setup, sigma, mode)
+                hits = max(hits, rep.count)
+        assert hits > 0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_setup_i_flat_w_queries(self, seed):
+        tets, _tris, segs = _direction_scene(random.Random(seed))
+        self._check(rt.SETUP_SEG_TETRA, tets, segs, seg_tetra_query)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_setup_iii_flat_w_inputs(self, seed):
+        tets, _tris, segs = _direction_scene(random.Random(10 + seed))
+        self._check(rt.SETUP_TETRA_SEG, segs, tets, tetra_seg_query)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_setup_ii_xy_degenerate_planes(self, seed):
+        rng = random.Random(20 + seed)
+        _tets, blue, _segs = _direction_scene(rng)
+        red = [_xy_triangle(rng, k % 2) for k in range(8)]
+        while len(red) < 14:
+            # through a blue centroid, so that some pairs meet
+            g = _centroid(rng.choice(blue).vertices)
+            try:
+                red.append(Triangle4(g, rnd_point(rng, 3), rnd_point(rng, 3)))
+            except ValueError:
+                continue
+        self._check(rt.SETUP_TRI_TRI, blue, red, tri_tri_query)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_line_flat_xy_degenerate_flats(self, seed):
+        rng = random.Random(30 + seed)
+        _tets, tris, segs = _direction_scene(rng)
+        flats = [t.vertices for t in tris]
+        lines = segs + [_flat_w_segment(rng, _centroid(rng.choice(flats))) for _ in range(6)]
+        self._check(rt.SETUP_LINE_2FLAT, flats, lines, line_2flat_query)
