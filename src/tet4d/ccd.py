@@ -1,15 +1,34 @@
 """Continuous collision detection for linearly moving tetrahedra in 3-space.
 
-Each moving tetrahedron is lifted to a convex 4-polytope (a tetrahedral
-prism) by using time as the fourth coordinate; two tetrahedra collide inside
-the time window iff their prisms intersect.  Prism-prism intersection is
-decided exactly by vertex containment plus boundary-feature tests (edges vs
-facet tetrahedra, triangles vs triangles), which is complete for closed
-convex polytopes.
+The paper lifts a moving tetrahedron to a prism in R^4, with time as the
+fourth coordinate: two tetrahedra collide inside their common time window
+iff their prisms meet.  This module decides that, and finds the time of
+first contact, by a swept separating-axis test on the 3D tetrahedra
+(Gottschalk, Lin and Manocha, "OBBTree", 1996; Redon et al., "Fast
+continuous collision detection between rigid bodies", 2002).
 
-The all-pairs problem is split by recursive halving into bichromatic
-subproblems; large ones are answered by batched multi-level structure
-queries, small ones (and the reference oracle) by the exhaustive pair test.
+At every time t both tetrahedra are translates of their start shapes, so
+one fixed set of candidate axes serves every t: the 4 + 4 face normals and
+the 36 edge x edge cross products.  Two closed convex polytopes are disjoint
+iff one of these axes separates them.  Along an axis L, with projections
+taken at time 0, the two overlap at time t iff
+
+    d * t in [minB - maxA, maxB - minA],   d = (uA - uB) . L.
+
+So each axis cuts the window to a closed interval, or empties it (d = 0 is
+a static test).  The collision times are the intersection of those
+intervals, and its left end is the exact first contact time t*.  The
+arithmetic is integer dot products plus one rational comparison per axis.
+The cross product of parallel edges is zero; it projects everything to 0
+and cuts nothing.
+
+The contact point at t* comes from clipping each edge of one tetrahedron by
+the other's four outward halfspaces, then the reverse.  Every vertex of the
+intersection of two tetrahedra lies on an edge of one of them, so the first
+nonempty clip gives a point.
+
+The lifted 4D prism and its feature scan live on in ``tests/_oracles.py``,
+as the independent reference that the tests compare this module against.
 """
 
 from __future__ import annotations
@@ -18,19 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .kernel4d import (
-    Point4,
-    Segment4,
-    Tetrahedron4,
-    TetraPre,
-    Triangle4,
-    _dot,
-    _sign,
-    det3,
-    segment_tetra_direct,
-    tetra_plane,
-    tetra_tetra_intersect,
-)
+from .kernel4d import Point4, Tetrahedron4, as_exact, det3, tetra_tetra_intersect
 from .oracle import IntersectionReport, QueryMode
 
 
@@ -67,7 +74,6 @@ class MovingTetrahedron:
         d = [tuple(v[i][k] - v[0][k] for k in range(3)) for i in (1, 2, 3)]
         D = det3(*d)
         r = tuple(q[k] - v[0][k] for k in range(3))
-        sD = _sign(D)
         tot = Fraction(0)
         for i in range(3):
             rows = [list(x) for x in d]
@@ -79,245 +85,190 @@ class MovingTetrahedron:
         return tot <= 1
 
 
-_SIDE_ORDER = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+# face m is the one opposite vertex m; edge (i, j) with the other two vertices
+_FACES = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))
+_EDGES = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
+def _cross(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub3(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
 
 
 class Prism4:
-    """Lifted prism of a moving tetrahedron: 8 vertices, 14 facet
-    tetrahedra (2 caps + 3 per triangulated side prism), the unique 2-faces
-    and edges of those facet tetrahedra, and 6 outward facet hyperplanes."""
+    """A moving tetrahedron as the swept separating-axis test reads it.
 
-    __slots__ = ("mt", "vertices", "facet_tets", "facet_pres", "triangles",
-                 "tri_pres", "edges", "hyperplanes", "bbox", "tet_boxes",
-                 "tri_boxes", "edge_boxes")
+    ``bbox`` is the closed box (lo x, y, z, t, hi x, y, z, t) of the swept
+    prism and ``window`` its time window as (num0, den0, num1, den1).
+    ``faces`` holds, per face, (n0, n1, n2, lo, hi, n.u): the outward normal
+    n and the tetrahedron's projection [lo, hi] onto it at time 0.
+    ``edges`` holds, per edge e, the four vectors (v x e for one end v and
+    the two vertices off the edge, then u x e): the projection of this
+    tetrahedron onto e x f, for an edge f of another one, is then three dot
+    products with f."""
+
+    __slots__ = ("mt", "bbox", "window", "verts", "vel", "faces", "edges")
 
     def __init__(self, mt: MovingTetrahedron):
         self.mt = mt
-        from .kernel4d import as_exact
-
-        lo = [Point4(*(as_exact(mt.vertices[i][k] + mt.t0 * mt.velocity[k]) for k in range(3)),
-                     as_exact(mt.t0)) for i in range(4)]
-        hi = [Point4(*(as_exact(mt.vertices[i][k] + mt.t1 * mt.velocity[k]) for k in range(3)),
-                     as_exact(mt.t1)) for i in range(4)]
-        self.vertices = tuple(lo + hi)
-        tets = [Tetrahedron4(*lo), Tetrahedron4(*hi)]
-        for side in _SIDE_ORDER:
-            i, j, k = sorted(side)
-            a = (lo[i], lo[j], lo[k])
-            b = (hi[i], hi[j], hi[k])
-            tets.append(Tetrahedron4(a[0], a[1], a[2], b[0]))
-            tets.append(Tetrahedron4(a[1], a[2], b[0], b[1]))
-            tets.append(Tetrahedron4(a[2], b[0], b[1], b[2]))
-        self.facet_tets = tuple(tets)
-        self.facet_pres = tuple(TetraPre(t) for t in tets)
-
-        tris = {}
-        edges = {}
-        for t in tets:
-            vs = t.vertices
-            for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-                key = tuple(sorted(tuple(vs[i]) for i in f))
-                tris.setdefault(key, Triangle4(vs[f[0]], vs[f[1]], vs[f[2]]))
-            for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
-                key = tuple(sorted((tuple(vs[i]), tuple(vs[j]))))
-                edges.setdefault(key, Segment4(vs[i], vs[j]))
-        self.triangles = tuple(tris[k] for k in sorted(tris))
-        self.edges = tuple(edges[k] for k in sorted(edges))
-        from .kernel4d import TrianglePre
-
-        self.tri_pres = tuple(TrianglePre(t) for t in self.triangles)
-
-        def box_of(pts):
-            # flat (lo0, lo1, lo2, lo3, hi0, hi1, hi2, hi3): one tuple per box
-            return (tuple(min(p[d] for p in pts) for d in range(4))
-                    + tuple(max(p[d] for p in pts) for d in range(4)))
-
-        self.tet_boxes = tuple(box_of(t.vertices) for t in self.facet_tets)
-        self.tri_boxes = tuple(box_of(t.vertices) for t in self.triangles)
-        self.edge_boxes = tuple(box_of((e.a, e.b)) for e in self.edges)
-
-        planes = [((0, 0, 0, -1), -mt.t0), ((0, 0, 0, 1), mt.t1)]
-        for m, side in enumerate(_SIDE_ORDER):
-            i, j, k = side
-            t = Tetrahedron4(lo[i], lo[j], lo[k], hi[i])
-            n, c = tetra_plane(t)
-            s = _sign(_dot(n, lo[m]) - c)
-            assert s != 0
-            if s > 0:
-                n, c = tuple(-x for x in n), -c
-            planes.append((n, c))
-        self.hyperplanes = tuple(planes)
-        self.bbox = box_of(self.vertices)
-
-    def contains(self, p: Sequence) -> bool:
-        return all(_dot(n, p) - c <= 0 for n, c in self.hyperplanes)
+        vs = tuple(tuple(as_exact(c) for c in v) for v in mt.vertices)
+        u = tuple(as_exact(c) for c in mt.velocity)
+        t0, t1 = Fraction(mt.t0), Fraction(mt.t1)
+        self.verts, self.vel = vs, u
+        self.window = (t0.numerator, t0.denominator, t1.numerator, t1.denominator)
+        ends = [tuple(as_exact(v[k] + t * u[k]) for k in range(3)) + (as_exact(t),)
+                for t in (t0, t1) for v in vs]
+        self.bbox = (tuple(min(p[d] for p in ends) for d in range(4))
+                     + tuple(max(p[d] for p in ends) for d in range(4)))
+        faces = []
+        for i, j, k, m in _FACES:
+            a = vs[i]
+            n = _cross(_sub3(vs[j], a), _sub3(vs[k], a))
+            if _dot3(n, _sub3(vs[m], a)) > 0:
+                n = (-n[0], -n[1], -n[2])
+            faces.append(n + (_dot3(n, vs[m]), _dot3(n, a), _dot3(n, u)))
+        self.faces = tuple(faces)
+        self.edges = tuple(
+            (e, _cross(vs[i], e), _cross(vs[k], e), _cross(vs[m], e), _cross(u, e))
+            for i, j, k, m in _EDGES for e in (_sub3(vs[j], vs[i]),))
 
 
 def lift(mt: MovingTetrahedron) -> Prism4:
     return Prism4(mt)
 
 
-def _bbox_disjoint(b1, b2) -> bool:
-    return (b1[4] < b2[0] or b2[4] < b1[0] or b1[5] < b2[1] or b2[5] < b1[1]
-            or b1[6] < b2[2] or b2[6] < b1[2] or b1[7] < b2[3] or b2[7] < b1[3])
-
-
-def _plane_separates(prism_planes, other_vertices) -> bool:
-    for n, c in prism_planes:
-        if all(_dot(n, v) - c > 0 for v in other_vertices):
-            return True
-    return False
+def _axis_gaps(pa: Prism4, pb: Prism4):
+    """(minB - maxA, maxB - minA, (uA - uB) . L) for every candidate axis L,
+    with the projections taken at time 0: face normals first, then the
+    edge x edge products."""
+    (a0, a1, a2), (b0, b1, b2) = pa.vel, pb.vel
+    qs = pb.verts
+    for n0, n1, n2, lo, hi, nu in pa.faces:
+        x = [n0 * q[0] + n1 * q[1] + n2 * q[2] for q in qs]
+        yield min(x) - hi, max(x) - lo, nu - (n0 * b0 + n1 * b1 + n2 * b2)
+    ps = pa.verts
+    for n0, n1, n2, lo, hi, nu in pb.faces:
+        x = [n0 * p[0] + n1 * p[1] + n2 * p[2] for p in ps]
+        yield lo - max(x), hi - min(x), n0 * a0 + n1 * a1 + n2 * a2 - nu
+    # L = e x f: L.p = f.(p x e) for p in A, and L.q = -e.(q x f) for q in B
+    for (e0, e1, e2), ca, ck, cm, cu in pa.edges:
+        for (f0, f1, f2), da, dk, dm, du in pb.edges:
+            x = f0 * ca[0] + f1 * ca[1] + f2 * ca[2]
+            y = f0 * ck[0] + f1 * ck[1] + f2 * ck[2]
+            z = f0 * cm[0] + f1 * cm[1] + f2 * cm[2]
+            lo_a, hi_a = (x, y) if x < y else (y, x)
+            lo_a, hi_a = (z if z < lo_a else lo_a), (z if z > hi_a else hi_a)
+            x = e0 * da[0] + e1 * da[1] + e2 * da[2]
+            y = e0 * dk[0] + e1 * dk[1] + e2 * dk[2]
+            z = e0 * dm[0] + e1 * dm[1] + e2 * dm[2]
+            lo_nb, hi_nb = (x, y) if x < y else (y, x)
+            lo_nb, hi_nb = (z if z < lo_nb else lo_nb), (z if z > hi_nb else hi_nb)
+            yield (-hi_nb - hi_a, -lo_nb - lo_a,
+                   f0 * cu[0] + f1 * cu[1] + f2 * cu[2] + e0 * du[0] + e1 * du[1] + e2 * du[2])
 
 
 def prism_pair_intersect(pa: Prism4, pb: Prism4) -> Optional[Point4]:
-    """Exact closed intersection witness of two prisms, or None.  Features
-    are scanned in a fixed order, so the witness is deterministic."""
-    if _bbox_disjoint(pa.bbox, pb.bbox):
+    """The point (x, y, z, t*) of first contact of two moving tetrahedra,
+    with t* the earliest time of their common window at which they meet,
+    or None if they never do.  The point is deterministic."""
+    a, b = pa.bbox, pb.bbox
+    if (a[4] < b[0] or b[4] < a[0] or a[5] < b[1] or b[5] < a[1]
+            or a[6] < b[2] or b[6] < a[2] or a[7] < b[3] or b[7] < a[3]):
         return None
-    if _plane_separates(pa.hyperplanes, pb.vertices):
-        return None
-    if _plane_separates(pb.hyperplanes, pa.vertices):
-        return None
-    for v in pa.vertices:
-        if pb.contains(v):
-            return Point4(*v)
-    for v in pb.vertices:
-        if pa.contains(v):
-            return Point4(*v)
-    from .kernel4d import seg_tetra_hit, tri_tri_hit
-
-    for (p1, p2) in ((pa, pb), (pb, pa)):
-        for e, eb in zip(p1.edges, p1.edge_boxes):
-            for t, pre, tb in zip(p2.facet_tets, p2.facet_pres, p2.tet_boxes):
-                if _bbox_disjoint(eb, tb):
-                    continue
-                if seg_tetra_hit(e, t, pre):
-                    return segment_tetra_direct(e, t, pre)
-    for ta, pra, ba in zip(pa.triangles, pa.tri_pres, pa.tri_boxes):
-        for tb, prb, bb in zip(pb.triangles, pb.tri_pres, pb.tri_boxes):
-            if _bbox_disjoint(ba, bb):
-                continue
-            if tri_tri_hit(ta, tb, pra, prb):
-                from .oracle import _tri_witness
-
-                return _tri_witness(ta, tb)
-    return None
+    # the common window [ln/ld, hn/hd], denominators positive; the boxes
+    # meet in t, so it is not empty
+    an0, ad0, an1, ad1 = pa.window
+    bn0, bd0, bn1, bd1 = pb.window
+    ln, ld = (an0, ad0) if an0 * bd0 >= bn0 * ad0 else (bn0, bd0)
+    hn, hd = (an1, ad1) if an1 * bd1 <= bn1 * ad1 else (bn1, bd1)
+    for glo, ghi, d in _axis_gaps(pa, pb):
+        if d > 0:      # glo/d <= t <= ghi/d
+            if glo * ld > ln * d:
+                ln, ld = glo, d
+            if ghi * hd < hn * d:
+                hn, hd = ghi, d
+        elif d < 0:    # -ghi/-d <= t <= -glo/-d
+            d = -d
+            if -ghi * ld > ln * d:
+                ln, ld = -ghi, d
+            if -glo * hd < hn * d:
+                hn, hd = -glo, d
+        elif glo > 0 or ghi < 0:
+            return None
+        else:
+            continue
+        if ln * hd > hn * ld:
+            return None
+    return _contact_point(pa, pb, ln, ld)
 
 
-def ccd_oracle_pairs(prisms: Sequence[Prism4]) -> List[Tuple[int, int]]:
-    """Exhaustive prism-pair intersection test over all pairs."""
+def _contact_point(pa: Prism4, pb: Prism4, tn, td) -> Point4:
+    """A point shared by both tetrahedra at time t = tn/td, where they are
+    known to meet.  Coordinates are scaled by td so that they stay integers
+    for integer input."""
+    scaled = [[tuple(td * v[k] + tn * p.vel[k] for k in range(3)) for v in p.verts]
+              for p in (pa, pb)]
+    for (src, dst) in ((0, 1), (1, 0)):
+        vs, other = scaled[src], (pa, pb)[dst]
+        planes = [(f[:3], td * f[4] + tn * f[5]) for f in other.faces]
+        for i, j, _k, _m in _EDGES:
+            s = _clip(vs[i], vs[j], planes)
+            if s is not None:
+                p, q = vs[i], vs[j]
+                return Point4(*((p[k] + s * (q[k] - p[k])) / td for k in range(3)),
+                              Fraction(tn, td))
+    raise AssertionError("no contact point at the first contact time")
+
+
+def _clip(p, q, planes):
+    """The least s in [0, 1] with p + s (q - p) in every halfspace n.x <= c,
+    or None."""
+    lo, hi = Fraction(0), Fraction(1)
+    for n, c in planes:
+        fp, fq = _dot3(n, p) - c, _dot3(n, q) - c
+        if fp > 0:
+            if fq > 0:
+                return None
+            lo = max(lo, Fraction(fp, fp - fq))
+        elif fq > 0:
+            hi = min(hi, Fraction(-fp, fq - fp))
+        if lo > hi:
+            return None
+    return lo
+
+
+def _hits(prisms: Sequence[Prism4]):
     out = []
     for i in range(len(prisms)):
         for j in range(i + 1, len(prisms)):
-            if prism_pair_intersect(prisms[i], prisms[j]) is not None:
-                out.append((i, j))
+            w = prism_pair_intersect(prisms[i], prisms[j])
+            if w is not None:
+                out.append((i, j, w))
     return out
 
 
-# ---------------------------------------------------------------------------
-# divide and conquer with batched structure queries
+def ccd_oracle_pairs(prisms: Sequence[Prism4]) -> List[Tuple[int, int]]:
+    """Exhaustive pair test over all pairs of lifted tetrahedra."""
+    return [(i, j) for (i, j, _w) in _hits(prisms)]
 
 
-def _bichromatic_pairs(prisms, left, right, threshold: int):
-    if len(left) <= threshold and len(right) <= threshold:
-        out = []
-        for i in left:
-            for j in right:
-                if prism_pair_intersect(prisms[i], prisms[j]) is not None:
-                    out.append((min(i, j), max(i, j)))
-        return out
-
-    from . import rangetree as rt
-    from .oracle import QueryMode
-
-    pairs = set()
-    # vertex containment, brute force (cheap exact sign tests)
-    for i in left:
-        for j in right:
-            if _bbox_disjoint(prisms[i].bbox, prisms[j].bbox):
-                continue
-            if any(prisms[j].contains(v) for v in prisms[i].vertices) or any(
-                prisms[i].contains(v) for v in prisms[j].vertices
-            ):
-                pairs.add((min(i, j), max(i, j)))
-
-    def feature_pairs(owner_a, feats_a, owner_b, tets_b, setup):
-        rep, _stats = rt._batched(setup, tets_b, feats_a, QueryMode.REPORT)
-        return [(owner_a[qi], owner_b[oj]) for (qi, oj, _w) in rep.pairs]
-
-    # edges of one side vs facet tetrahedra of the other
-    for (A, B) in ((left, right), (right, left)):
-        feats, owner_f = [], []
-        for i in A:
-            for e in prisms[i].edges:
-                feats.append(e)
-                owner_f.append(i)
-        tets, owner_t = [], []
-        for j in B:
-            for t in prisms[j].facet_tets:
-                tets.append(t)
-                owner_t.append(j)
-        for (oi, oj) in feature_pairs(owner_f, feats, owner_t, tets, rt.SETUP_SEG_TETRA):
-            if oi != oj:
-                pairs.add((min(oi, oj), max(oi, oj)))
-
-    # triangles vs triangles
-    tris_a, owner_a = [], []
-    for i in left:
-        for t in prisms[i].triangles:
-            tris_a.append(t)
-            owner_a.append(i)
-    tris_b, owner_b = [], []
-    for j in right:
-        for t in prisms[j].triangles:
-            tris_b.append(t)
-            owner_b.append(j)
-    rep, _stats = rt._batched(rt.SETUP_TRI_TRI, tris_b, tris_a, QueryMode.REPORT)
-    for (qi, oj, _w) in rep.pairs:
-        oi, ojj = owner_a[qi], owner_b[oj]
-        if oi != ojj:
-            pairs.add((min(oi, ojj), max(oi, ojj)))
-    return sorted(pairs)
-
-
-def _dc_pairs(prisms, indices, threshold: int):
-    n = len(indices)
-    if n < 2:
-        return []
-    if n <= threshold:
-        out = []
-        for a in range(n):
-            for b in range(a + 1, n):
-                i, j = indices[a], indices[b]
-                if prism_pair_intersect(prisms[i], prisms[j]) is not None:
-                    out.append((min(i, j), max(i, j)))
-        return out
-    mid = n // 2
-    left, right = indices[:mid], indices[mid:]
-    out = _dc_pairs(prisms, left, threshold)
-    out += _dc_pairs(prisms, right, threshold)
-    out += _bichromatic_pairs(prisms, left, right, threshold)
-    return sorted(set(out))
-
-
-def detect_collisions(scene: Sequence[MovingTetrahedron], mode: QueryMode,
-                      threshold: int = 32) -> IntersectionReport:
-    """Pairs of moving tetrahedra whose lifted prisms intersect; witnesses
-    are intersection points of the prisms, whose w-coordinate is a collision
-    time."""
-    prisms = [lift(mt) for mt in scene]
-    pairs = _dc_pairs(prisms, list(range(len(scene))), threshold)
+def detect_collisions(scene: Sequence[MovingTetrahedron], mode: QueryMode) -> IntersectionReport:
+    """Pairs of moving tetrahedra that meet inside their common time window,
+    by the pair test over all pairs.  A REPORT witness is the point of first
+    contact (x, y, z, t*), t* the earliest time at which the pair meets."""
+    hits = _hits([lift(mt) for mt in scene])
     if mode == QueryMode.DETECT:
-        det = bool(pairs)
-        return IntersectionReport(det, 1 if det else 0, [])
+        return IntersectionReport(bool(hits), 1 if hits else 0, [])
     if mode == QueryMode.COUNT:
-        return IntersectionReport(bool(pairs), len(pairs), [])
-    out = []
-    for (i, j) in pairs:
-        w = prism_pair_intersect(prisms[i], prisms[j])
-        assert w is not None
-        out.append((i, j, Point4(*(Fraction(c) for c in w))))
-    return IntersectionReport(bool(out), len(out), out)
+        return IntersectionReport(bool(hits), len(hits), [])
+    return IntersectionReport(bool(hits), len(hits), hits)
 
 
 def collision_verified_at(scene, i: int, j: int, t) -> bool:

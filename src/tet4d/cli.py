@@ -1,6 +1,10 @@
 """Command-line surface: scene generation, queries, CCD, arrangement counts,
 benchmarks and analytic tradeoff prediction.
 
+`ccd` reports, per colliding pair, the time of first contact as
+``witnessTime`` and a point both tetrahedra hold at that time as
+``witnessPoint`` (x, y, z, t).
+
 Exit codes: 0 success, 2 usage error, 3 scene/schema error, 4 internal
 mismatch (the two engines disagreed, which is a test failure surfaced at
 runtime).  `arrange` exits 3 when the oracle rejects a degenerate scene
@@ -20,7 +24,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from . import rangetree as rt
-from .ccd import detect_collisions, lift
+from .ccd import detect_collisions
 from .kernel4d import GeometryError
 from .oracle import (
     IntersectionReport,
@@ -399,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     f.add_argument("--out", default=None)
     f.set_defaults(fn=cmd_flats)
 
-    c = sub.add_parser("ccd", help="continuous collision detection")
+    c = sub.add_parser("ccd", help="continuous collision detection, with first contact times")
     c.add_argument("--scene", required=True)
     c.add_argument("--mode", choices=["detect", "count", "report"], default="report")
     c.add_argument("--seed", type=int, default=0, help=_SEED_HELP)

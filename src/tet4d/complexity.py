@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Tuple
 
-import numpy as np
-
 
 @dataclass(frozen=True)
 class CostModel:
@@ -45,11 +43,15 @@ class ExponentFit:
 
 
 def _fit(ns, vals) -> ExponentFit:
-    lx = np.log2(np.asarray(ns, dtype=float))
-    ly = np.log2(np.asarray(vals, dtype=float))
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = float(np.max(np.abs(ly - (slope * lx + intercept))))
-    return ExponentFit(float(slope), resid)
+    """Least-squares line through (log2 n, log2 value), in closed form."""
+    lx = [math.log2(n) for n in ns]
+    ly = [math.log2(v) for v in vals]
+    mx, my = sum(lx) / len(lx), sum(ly) / len(ly)
+    slope = (sum((x - mx) * (y - my) for x, y in zip(lx, ly))
+             / sum((x - mx) ** 2 for x in lx))
+    intercept = my - slope * mx
+    resid = max(abs(y - (slope * x + intercept)) for x, y in zip(lx, ly))
+    return ExponentFit(slope, resid)
 
 
 # ---------------------------------------------------------------------------

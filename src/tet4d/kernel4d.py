@@ -238,10 +238,6 @@ class TwoPlaneParam:
 # determinants
 
 
-def det2(a, b, c, d):
-    return a * d - b * c
-
-
 def det3(r0, r1, r2):
     return (
         r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
@@ -307,10 +303,6 @@ def orient5(p0: Sequence, p1: Sequence, p2: Sequence, p3: Sequence, p4: Sequence
     return _sign(det4(_sub(p1, p0), _sub(p2, p0), _sub(p3, p0), _sub(p4, p0)))
 
 
-def orient5_value(p0, p1, p2, p3, p4):
-    return det4(_sub(p1, p0), _sub(p2, p0), _sub(p3, p0), _sub(p4, p0))
-
-
 def plucker10(a: Sequence, b: Sequence):
     """Plücker coordinates of the line through a and b: the ten 2x2 minors
     of the rows (a, 1) and (b, 1) on the column pairs (j, k), j < k, of
@@ -319,8 +311,8 @@ def plucker10(a: Sequence, b: Sequence):
 
     Together with ``dual10`` this splits orient5 into a line part and a
     2-flat part (Laplace expansion along the first two rows): the dot
-    product plucker10(a, b) . dual10(f0, f1, f2) equals
-    orient5_value(a, b, f0, f1, f2), so
+    product plucker10(a, b) . dual10(f0, f1, f2) equals the 5x5
+    determinant with rows (a, 1), (b, 1), (f0, 1), (f1, 1), (f2, 1), so
 
         sign(plucker10(a, b) . dual10(f0, f1, f2)) == orient5(a, b, f0, f1, f2)
 

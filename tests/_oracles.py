@@ -2,11 +2,29 @@
 
 These deliberately avoid the package's own code paths: determinants by
 permutation expansion, segment/tetrahedron feasibility by a direct rational
-solve of the barycentric system.
+solve of the barycentric system.  The CCD reference at the end is the
+exception: it runs the package's 4D predicates on lifted prisms, which CCD's
+own pair test does not use.
 """
 
 from fractions import Fraction
 from itertools import permutations
+
+from tet4d.kernel4d import (
+    Point4,
+    Segment4,
+    Tetrahedron4,
+    TetraPre,
+    Triangle4,
+    TrianglePre,
+    _dot,
+    as_exact,
+    seg_tetra_hit,
+    segment_tetra_direct,
+    tetra_plane,
+    tri_tri_hit,
+)
+from tet4d.oracle import _tri_witness
 
 
 def det_perm(rows):
@@ -160,3 +178,109 @@ def simplex_meet_vertices(simplices):
         out.add(tuple(sum(lam[i] * Fraction(p[c]) for i, p in enumerate(simplices[0]))
                       for c in range(4)))
     return out
+
+
+# ---------------------------------------------------------------------------
+# continuous collision detection by the paper's lifting: the reference that
+# tet4d.ccd's swept separating-axis test is checked against.  It shares the
+# 4D kernel predicates with the package, but nothing of the CCD pair test.
+
+_SIDE_ORDER = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
+class LiftedPrism:
+    """Lifted prism of a moving tetrahedron, time as the fourth coordinate:
+    8 vertices, 14 facet tetrahedra (2 caps + 3 per triangulated side
+    prism), the unique 2-faces and edges of those facet tetrahedra, and 6
+    outward facet hyperplanes."""
+
+    def __init__(self, mt):
+        self.mt = mt
+        lo = [Point4(*(as_exact(mt.vertices[i][k] + mt.t0 * mt.velocity[k]) for k in range(3)),
+                     as_exact(mt.t0)) for i in range(4)]
+        hi = [Point4(*(as_exact(mt.vertices[i][k] + mt.t1 * mt.velocity[k]) for k in range(3)),
+                     as_exact(mt.t1)) for i in range(4)]
+        self.vertices = tuple(lo + hi)
+        tets = [Tetrahedron4(*lo), Tetrahedron4(*hi)]
+        for side in _SIDE_ORDER:
+            i, j, k = sorted(side)
+            a = (lo[i], lo[j], lo[k])
+            b = (hi[i], hi[j], hi[k])
+            tets.append(Tetrahedron4(a[0], a[1], a[2], b[0]))
+            tets.append(Tetrahedron4(a[1], a[2], b[0], b[1]))
+            tets.append(Tetrahedron4(a[2], b[0], b[1], b[2]))
+        self.facet_tets = tuple(tets)
+        self.facet_pres = tuple(TetraPre(t) for t in tets)
+
+        tris, edges = {}, {}
+        for t in tets:
+            vs = t.vertices
+            for f in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
+                key = tuple(sorted(tuple(vs[i]) for i in f))
+                tris.setdefault(key, Triangle4(vs[f[0]], vs[f[1]], vs[f[2]]))
+            for (i, j) in ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)):
+                key = tuple(sorted((tuple(vs[i]), tuple(vs[j]))))
+                edges.setdefault(key, Segment4(vs[i], vs[j]))
+        self.triangles = tuple(tris[k] for k in sorted(tris))
+        self.edges = tuple(edges[k] for k in sorted(edges))
+        self.tri_pres = tuple(TrianglePre(t) for t in self.triangles)
+
+        planes = [((0, 0, 0, -1), -mt.t0), ((0, 0, 0, 1), mt.t1)]
+        for m, side in enumerate(_SIDE_ORDER):
+            i, j, k = side
+            n, c = tetra_plane(Tetrahedron4(lo[i], lo[j], lo[k], hi[i]))
+            s = _dot(n, lo[m]) - c
+            assert s != 0
+            if s > 0:
+                n, c = tuple(-x for x in n), -c
+            planes.append((n, c))
+        self.hyperplanes = tuple(planes)
+        self.bbox = _box4(self.vertices)
+        self.tet_boxes = tuple(_box4(t.vertices) for t in self.facet_tets)
+        self.tri_boxes = tuple(_box4(t.vertices) for t in self.triangles)
+        self.edge_boxes = tuple(_box4((e.a, e.b)) for e in self.edges)
+
+    def contains(self, p) -> bool:
+        return all(_dot(n, p) - c <= 0 for n, c in self.hyperplanes)
+
+
+def _box4(points):
+    return tuple((min(p[d] for p in points), max(p[d] for p in points)) for d in range(4))
+
+
+def _boxes_apart(b1, b2) -> bool:
+    return any(h1 < l2 or h2 < l1 for (l1, h1), (l2, h2) in zip(b1, b2))
+
+
+def lifted_prism_meet(pa, pb):
+    """A common point of two lifted prisms, or None: vertex containment,
+    then every edge of one against every facet tetrahedron of the other,
+    then every triangle pair, each pair of features skipped when their
+    boxes are apart.  Complete for closed convex polytopes."""
+    if _boxes_apart(pa.bbox, pb.bbox):
+        return None
+    for (p, q) in ((pa, pb), (pb, pa)):
+        for n, c in p.hyperplanes:
+            if all(_dot(n, v) - c > 0 for v in q.vertices):
+                return None
+    for (p, q) in ((pa, pb), (pb, pa)):
+        for v in p.vertices:
+            if q.contains(v):
+                return Point4(*v)
+    for (p, q) in ((pa, pb), (pb, pa)):
+        for e, eb in zip(p.edges, p.edge_boxes):
+            for t, pre, tb in zip(q.facet_tets, q.facet_pres, q.tet_boxes):
+                if not _boxes_apart(eb, tb) and seg_tetra_hit(e, t, pre):
+                    return segment_tetra_direct(e, t, pre)
+    for ta, pra, ba in zip(pa.triangles, pa.tri_pres, pa.tri_boxes):
+        for tb, prb, bb in zip(pb.triangles, pb.tri_pres, pb.tri_boxes):
+            if not _boxes_apart(ba, bb) and tri_tri_hit(ta, tb, pra, prb):
+                return _tri_witness(ta, tb)
+    return None
+
+
+def lifted_pairs(scene):
+    """Pairs (i, j), i < j, of moving tetrahedra whose lifted prisms meet."""
+    prisms = [LiftedPrism(mt) for mt in scene]
+    return [(i, j) for i in range(len(prisms)) for j in range(i + 1, len(prisms))
+            if lifted_prism_meet(prisms[i], prisms[j]) is not None]

@@ -202,13 +202,8 @@ def test_predicate_direct_agreement():
 
 
 def test_ccd_acceptance():
-    from tet4d.ccd import (
-        MovingTetrahedron,
-        ccd_oracle_pairs,
-        collision_verified_at,
-        detect_collisions,
-        lift,
-    )
+    from _oracles import lifted_pairs
+    from tet4d.ccd import MovingTetrahedron, collision_verified_at, detect_collisions
 
     rng = random.Random(0xCCD)
 
@@ -223,15 +218,14 @@ def test_ccd_acceptance():
             except ValueError:
                 continue
 
-    with criterion("CCD detect == exhaustive prism oracle", 300):
+    with criterion("CCD detect == lifted 4D prism reference", 300):
         for i in range(100):
             n = 2 + min(28, int(29 * rng.random() ** 2))
             scene = [rnd_moving() for _ in range(n)]
-            prisms = [lift(mt) for mt in scene]
-            oracle = ccd_oracle_pairs(prisms)
             rep = detect_collisions(scene, QueryMode.REPORT)
-            assert [(a, b) for (a, b, _w) in rep.pairs] == oracle, i
+            assert [(a, b) for (a, b, _w) in rep.pairs] == lifted_pairs(scene), i
             for (a, b, w) in rep.pairs:
+                assert scene[a].contains_at(w[:3], w.w) and scene[b].contains_at(w[:3], w.w)
                 assert collision_verified_at(scene, a, b, w.w)
 
         unit = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))

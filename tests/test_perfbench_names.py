@@ -73,3 +73,28 @@ def test_workload_names_exist():
                 assert callable(getattr(oracle, w.oracle, None)), w.oracle
                 parts += 1
     assert parts == 4
+
+
+def test_ccd_latency_probe_sees_every_pair(monkeypatch):
+    # ccd-dense keys its latencies by lift(mt).mt and times each pair test
+    # through the module attribute ccd.prism_pair_intersect
+    from fractions import Fraction
+
+    ccd = _tet4d("ccd")
+    oracle = _tet4d("oracle")
+    scenes = _tet4d("scenes")
+    scene = scenes.decode_objects(scenes.generate("MOVING_TETRAHEDRA", 9, 4, 3, spread=3))
+    assert all(ccd.lift(mt).mt is mt for mt in scene)
+    seen = []
+    leaf = ccd.prism_pair_intersect
+
+    def probe(pa, pb):
+        seen.append(frozenset((id(pa.mt), id(pb.mt))))
+        return leaf(pa, pb)
+
+    monkeypatch.setattr(ccd, "prism_pair_intersect", probe)
+    rep = ccd.detect_collisions(scene, oracle.QueryMode.REPORT)
+    assert rep.count > 0 and all(isinstance(w.w, Fraction) for (_i, _j, w) in rep.pairs)
+    ids = [id(mt) for mt in scene]
+    assert len(seen) == 9 * 8 // 2
+    assert set(seen) == {frozenset((ids[i], ids[j])) for i in range(9) for j in range(i + 1, 9)}
