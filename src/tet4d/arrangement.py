@@ -34,6 +34,7 @@ from .kernel4d import (
     Tetrahedron4,
     TetraPre,
     Triangle4,
+    _clip,
     _dot,
     _segment_clip_in_plane,
     _sign,
@@ -323,20 +324,8 @@ def _clip_line_tri3(o, d, tri3):
         return None
     s0, t0 = p0
     ds, dt = pd
-    lo, hi = None, None
-    for c0, c1 in ((s0, ds), (t0, dt), (1 - s0 - t0, -ds - dt)):
-        if c1 == 0:
-            if c0 < 0:
-                return None
-        else:
-            bnd = Fraction(-c0) / c1
-            if c1 > 0:
-                lo = bnd if lo is None else max(lo, bnd)
-            else:
-                hi = bnd if hi is None else min(hi, bnd)
-    if lo is None or hi is None or lo > hi:
-        return None
-    return lo, hi
+    clip = _clip(((s0, ds), (t0, dt), (1 - s0 - t0, -ds - dt)), None, None)
+    return None if clip is None or None in clip else clip
 
 
 @dataclass

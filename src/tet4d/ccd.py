@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .kernel4d import Point4, Tetrahedron4, as_exact, det3, tetra_tetra_intersect
+from .kernel4d import Point4, Tetrahedron4, _clip, as_exact, det3, tetra_tetra_intersect
 from .oracle import IntersectionReport, QueryMode
 
 
@@ -219,29 +219,20 @@ def _contact_point(pa: Prism4, pb: Prism4, tn, td) -> Point4:
         vs, other = scaled[src], (pa, pb)[dst]
         planes = [(f[:3], td * f[4] + tn * f[5]) for f in other.faces]
         for i, j, _k, _m in _EDGES:
-            s = _clip(vs[i], vs[j], planes)
-            if s is not None:
-                p, q = vs[i], vs[j]
+            p, q = vs[i], vs[j]
+            # the least s in [0, 1] with p + s (q - p) in every halfspace
+            # n.x <= c: one that holds neither end rules the edge out, and
+            # one that holds both ends cuts nothing
+            ends = [(c - _dot3(n, p), c - _dot3(n, q)) for n, c in planes]
+            if any(fp < 0 and fq < 0 for fp, fq in ends):
+                continue
+            clip = _clip([(fp, fq - fp) for fp, fq in ends if fp < 0 or fq < 0],
+                         Fraction(0), Fraction(1))
+            if clip is not None:
+                s = clip[0]
                 return Point4(*((p[k] + s * (q[k] - p[k])) / td for k in range(3)),
                               Fraction(tn, td))
     raise AssertionError("no contact point at the first contact time")
-
-
-def _clip(p, q, planes):
-    """The least s in [0, 1] with p + s (q - p) in every halfspace n.x <= c,
-    or None."""
-    lo, hi = Fraction(0), Fraction(1)
-    for n, c in planes:
-        fp, fq = _dot3(n, p) - c, _dot3(n, q) - c
-        if fp > 0:
-            if fq > 0:
-                return None
-            lo = max(lo, Fraction(fp, fp - fq))
-        elif fq > 0:
-            hi = min(hi, Fraction(-fp, fq - fp))
-        if lo > hi:
-            return None
-    return lo
 
 
 def _hits(prisms: Sequence[Prism4]):

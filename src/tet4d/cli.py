@@ -362,6 +362,20 @@ def cmd_predict(args):
 _SEED_HELP = "ignored; only gen uses the seed"
 
 
+def _query_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
+    """A subcommand with the arguments that `query` and `flats` share."""
+    p = sub.add_parser(name, help=help_text)
+    p.add_argument("--scene", required=True)
+    p.add_argument("--queries", default=None)
+    p.add_argument("--mode", choices=["detect", "count", "report"], default="count")
+    p.add_argument("--sigma", default="2")
+    p.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
+    p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.add_argument("--out", default=None)
+    return p
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tet4d",
                                  description="Exact intersection queries in R^4")
@@ -380,27 +394,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", default=None)
     g.set_defaults(fn=cmd_gen)
 
-    q = sub.add_parser("query", help="run one query batch")
-    q.add_argument("--scene", required=True)
-    q.add_argument("--queries", default=None)
+    q = _query_parser(sub, "query", "run one query batch")
     q.add_argument("--setup", required=True, choices=list(SETUPS))
-    q.add_argument("--mode", choices=["detect", "count", "report"], default="count")
-    q.add_argument("--sigma", default="2")
-    q.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
-    q.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    q.add_argument("--format", choices=["json", "csv"], default="json")
-    q.add_argument("--out", default=None)
     q.set_defaults(fn=cmd_query)
 
-    f = sub.add_parser("flats", help="lines vs 2-flats batch")
-    f.add_argument("--scene", required=True)
-    f.add_argument("--queries", default=None)
-    f.add_argument("--mode", choices=["detect", "count", "report"], default="count")
-    f.add_argument("--sigma", default="2")
-    f.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
-    f.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
-    f.add_argument("--format", choices=["json", "csv"], default="json")
-    f.add_argument("--out", default=None)
+    f = _query_parser(sub, "flats", "lines vs 2-flats batch")
     f.set_defaults(fn=cmd_flats)
 
     c = sub.add_parser("ccd", help="continuous collision detection, with first contact times")

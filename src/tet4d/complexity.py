@@ -61,28 +61,22 @@ def _fit(ns, vals) -> ExponentFit:
 def q_tradeoff_exponent(sigma):
     """Query-time exponent for storage s = n^sigma: 7/6 - sigma/3 up to the
     breakpoint sigma = 2, then 3/4 - sigma/8."""
-    sig = Fraction(sigma) if not isinstance(sigma, float) else sigma
+    sig = Fraction(sigma)
     if sig < 1 or sig > 6:
         raise ValueError("sigma outside [1, 6]")
     if sig <= 2:
-        return Fraction(7, 6) - Fraction(sig) / 3 if not isinstance(sig, float) else 7 / 6 - sig / 3
-    return Fraction(3, 4) - Fraction(sig) / 8 if not isinstance(sig, float) else 3 / 4 - sig / 8
+        return Fraction(7, 6) - sig / 3
+    return Fraction(3, 4) - sig / 8
 
 
 def batched_cost_exponents(mu):
     """Total-cost exponent for m = n^mu batched queries: the piecewise bound
     max(max(3mu/4 + 7/8, 1), max(8mu/9 + 2/3, mu)); the first expression
     governs below the crossover mu = 3/2, the second above."""
-    m = Fraction(mu) if not isinstance(mu, float) else mu
+    m = Fraction(mu)
     if m < 0:
         raise ValueError("mu must be non-negative")
-    if isinstance(m, float):
-        e1 = max(3 * m / 4 + 7 / 8, 1.0)
-        e2 = max(8 * m / 9 + 2 / 3, m)
-        return max(e1, e2)
-    e1 = max(Fraction(3) * m / 4 + Fraction(7, 8), Fraction(1))
-    e2 = max(Fraction(8) * m / 9 + Fraction(2, 3), m)
-    return max(e1, e2)
+    return max(3 * m / 4 + Fraction(7, 8), Fraction(1), 8 * m / 9 + Fraction(2, 3), m)
 
 
 def leaf_size(n, s) -> float:
@@ -210,7 +204,7 @@ def unfold_main(ns=None, model: CostModel = DEFAULT_MODEL,
 # premature-stopping query bound
 
 
-def premature_query_exponent(sigma, model: CostModel = DEFAULT_MODEL):
+def premature_query_exponent(sigma):
     """Exponent of the four-term premature-level query bound
     D^k + n^{5/4} D^{k/6} / s^{5/12} + n / s^{1/4} + n / (s^{1/6} D^{k/3}),
     minimized over the two balancing choices D^k = sqrt(s/n) and
@@ -235,10 +229,10 @@ def premature_query_exponent(sigma, model: CostModel = DEFAULT_MODEL):
     return min(cost(k) for k in kappas)
 
 
-def unfold_premature(n, sigma, model: CostModel = DEFAULT_MODEL):
+def unfold_premature(n, sigma):
     """Query exponent at storage n^sigma via the premature-stopping bound;
     n is accepted for interface symmetry (the bound is exponent-only)."""
-    return premature_query_exponent(sigma, model)
+    return premature_query_exponent(sigma)
 
 
 def tradeoff_samples(sigmas):

@@ -11,9 +11,13 @@ Sign conventions used by the intersection predicates:
   its endpoints do not lie strictly on the same side.
 * A line pierces a tetrahedron iff the four 5x5 orientation determinants
   against the facet 2-planes, each multiplied by a per-facet calibration
-  sign (computed once per tetrahedron from an interior probe line), are all
-  equal and nonzero.  The probe is the line through the centroid along the
-  coordinate axis most transverse to the supporting hyperplane.
+  sign, are all equal and nonzero.  The calibration is the boundary
+  orientation (-1)^i of facet i (opposite vertex i), times one global sign:
+  D(v_i, F_i), the determinant of vertex i against its facet, alternates as
+  (-1)^i, and an interior probe line only fixes that global sign.  It is
+  sign(n[j]) for the integer normal n and its largest entry n[j]; a
+  triangle's edges likewise get (s, -s, s), with s the sign of
+  det4(q - p, r - p, e_j, e_k) for the first nonzero coordinate pair (j, k).
 * Each orientation determinant orient5(a, b, f0, f1, f2) is bilinear: it is
   the dot product of the line's ten Plücker coordinates ``plucker10(a, b)``
   with the facet 2-plane's ten dual coordinates ``dual10(f0, f1, f2)``.
@@ -111,12 +115,20 @@ def _dot(p: Sequence, q: Sequence):
     return p[0] * q[0] + p[1] * q[1] + p[2] * q[2] + p[3] * q[3]
 
 
-def _rank_ge_2(d1, d2) -> bool:
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if d1[i] * d2[j] - d1[j] * d2[i] != 0:
-                return True
-    return False
+# index pairs j < k of four, in lexicographic order
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+_UNIT = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+
+def _chart2(d1, d2):
+    """The first coordinate pair (i, j) on which d1 and d2 have a nonzero
+    2x2 minor, so that (x_i, x_j) charts their span; None when d1 and d2
+    are dependent."""
+    for i, j in _PAIRS:
+        if d1[i] * d2[j] - d1[j] * d2[i] != 0:
+            return i, j
+    return None
 
 
 @dataclass(frozen=True, slots=True)
@@ -136,7 +148,7 @@ class Triangle4:
     r: Point4
 
     def __post_init__(self):
-        if not _rank_ge_2(_sub(self.q, self.p), _sub(self.r, self.p)):
+        if _chart2(_sub(self.q, self.p), _sub(self.r, self.p)) is None:
             raise ValueError("degenerate triangle: collinear vertices")
 
     @property
@@ -169,7 +181,7 @@ class Tetrahedron4:
 _FACETS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
 # tetra edges as vertex index pairs
-_TET_EDGES = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+_TET_EDGES = _PAIRS
 
 
 def tetra_facets(t: Tetrahedron4):
@@ -410,7 +422,7 @@ def line_param(s: Segment4) -> LineParam:
 
 def twoplane_param(p: Point4, q: Point4, r: Point4) -> TwoPlaneParam:
     d1, d2 = _sub(q, p), _sub(r, p)
-    if not _rank_ge_2(d1, d2):
+    if _chart2(d1, d2) is None:
         raise DegenerateDirection("points do not span a 2-plane")
     det = d1[0] * d2[1] - d1[1] * d2[0]
     if det == 0:
@@ -431,42 +443,28 @@ def twoplane_param(p: Point4, q: Point4, r: Point4) -> TwoPlaneParam:
 # per-tetrahedron precomputation (plane + facet calibration signs)
 
 
-def facet_orientations(t: Tetrahedron4):
-    """Calibration sign per facet: the sign of the orientation determinant of
-    an interior probe line against the facet's vertex rows.  A directed line
-    meets the closed tetrahedron iff its four calibrated signs contain no
-    strict +/- conflict."""
-    n, _c = tetra_plane(t)
-    j = max(range(4), key=lambda k: (abs(n[k]), -k))
-    v = t.vertices
-    g4 = tuple(v[0][i] + v[1][i] + v[2][i] + v[3][i] for i in range(4))
-    e = tuple(4 if i == j else 0 for i in range(4))
-    pa = tuple(g4[i] - e[i] for i in range(4)) + (4,)
-    pb = tuple(g4[i] + e[i] for i in range(4)) + (4,)
-    eps = []
-    for f in _FACETS:
-        rows = [v[i] + (1,) for i in f]
-        s = _sign(det5h(pa, pb, rows[0], rows[1], rows[2]))
-        if s == 0:
-            raise DegenerateTetrahedron("probe failed; tetrahedron near-degenerate")
-        eps.append(s)
-    return tuple(eps)
-
-
 class TetraPre:
     """Cached exact data for one tetrahedron used by the fast predicates.
 
     Only the plane and the calibration signs are stored.  The facets are
     rebuilt on access, and the barycentric basis is built on first use:
     scenes hold many of these (14 per CCD prism), and most never need a
-    basis."""
+    basis.
+
+    eps[i] is the sign that makes eps[i] * orient5(a, b, *facet_i) the same
+    for every facet when the line through a and b pierces the tetrahedron:
+    the boundary orientation (-1)^i times sign(n[j]), n[j] the largest
+    entry of the normal (the first of equal ones)."""
 
     __slots__ = ("tet", "n", "c", "eps", "_basis")
 
     def __init__(self, tet: Tetrahedron4):
         self.tet = tet
         self.n, self.c = tetra_plane(tet)
-        self.eps = facet_orientations(tet)
+        n = self.n
+        j = max(range(4), key=lambda k: (abs(n[k]), -k))
+        s = 1 if n[j] > 0 else -1
+        self.eps = (s, -s, s, -s)
         self._basis = None
 
     @property
@@ -495,7 +493,7 @@ class TetraPre:
         (v0..v3, apex), relative to the basis determinant sign."""
         ds = _sign(self.basis_det)
         rows = self.basis_rows
-        pr = _scaled_row(p)
+        pr = _integral((*p, 1))
         out = []
         for i in range(5):
             rep = rows[:i] + [pr] + rows[i + 1 :]
@@ -509,38 +507,21 @@ class TetraPre:
             return False
         ds = _sign(self.basis_det)
         rows = self.basis_rows
-        pr = _scaled_row(p)
+        pr = _integral((*p, 1))
         for i in range(4):
             if _sign(det5h(*(rows[:i] + [pr] + rows[i + 1 :]))) * ds < 0:
                 return False
         return True
 
 
-def _lcm(a: int, b: int) -> int:
-    return a // math.gcd(a, b) * b
-
-
-def _scaled_row(p: Sequence):
-    """Homogeneous integer row (L*p, L) of a rational point (L > 0), so
-    determinant signs match the weight-1 row exactly."""
-    lam = 1
-    for x in p:
-        if isinstance(x, Fraction):
-            lam = _lcm(lam, x.denominator)
-    if lam == 1:
-        return tuple(p) + (1,)
-    return tuple(x.numerator * (lam // x.denominator) for x in p) + (lam,)
-
-
-def _scaled_dir_row(d: Sequence):
-    """Homogeneous integer direction row (L*d, 0), L > 0."""
-    lam = 1
-    for x in d:
-        if isinstance(x, Fraction):
-            lam = _lcm(lam, x.denominator)
-    if lam == 1:
-        return tuple(d) + (0,), 1
-    return tuple(x.numerator * (lam // x.denominator) for x in d) + (0,), lam
+def _integral(v):
+    """v times the least positive integer that clears its denominators: the
+    same sign against every vector, in plain ints.  With v = (p, 1) it is
+    the homogeneous integer row (L*p, L) of a rational point."""
+    if all(type(x) is int for x in v):
+        return tuple(v)
+    lam = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (lam // x.denominator) for x in v)
 
 
 def point_in_tetra(p: Point4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> bool:
@@ -583,34 +564,45 @@ def segment_tetra_predicate(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre
     return True
 
 
-def _segment_clip_in_plane(a, b, pre: TetraPre):
-    """Both endpoints on the supporting hyperplane: the closed parameter
-    interval (lo, hi), 0 <= lo <= hi <= 1, of a + t (b - a) inside the
-    tetrahedron, clipped by exact barycentric intervals; None if empty."""
-    rows = pre.basis_rows
-    D = Fraction(pre.basis_det)
-
-    def barys(p):
-        pr = tuple(p) + (1,)
-        return [Fraction(det5h(*(rows[:i] + [pr] + rows[i + 1 :]))) / D for i in range(4)]
-
-    ba = barys(a)
-    bb = barys(b)
-    lo, hi = Fraction(0), Fraction(1)
-    for i in range(4):
-        c0, c1 = ba[i], bb[i] - ba[i]
+def _clip(forms, lo, hi):
+    """The closed interval of tau inside [lo, hi] on which every form
+    c0 + tau * c1 of ``forms`` (pairs (c0, c1)) is >= 0, as (lo, hi); None
+    as an end means open on that side, and None is returned when the
+    interval is empty."""
+    for c0, c1 in forms:
         if c1 == 0:
             if c0 < 0:
                 return None
-        else:
-            bound = -c0 / c1
-            if c1 > 0:
-                lo = max(lo, bound)
-            else:
-                hi = min(hi, bound)
-    if lo > hi:
+            continue
+        bound = Fraction(-c0, c1)
+        if c1 > 0:
+            if lo is None or bound > lo:
+                lo = bound
+        elif hi is None or bound < hi:
+            hi = bound
+    if lo is not None and hi is not None and lo > hi:
         return None
     return lo, hi
+
+
+def _bary_forms(o, d, pre: TetraPre):
+    """The four vertex coordinates of o + tau d in the basis of pre's
+    tetrahedron, as forms (c0, c1) in tau, all times one positive factor.
+    Meaningful when o and d lie in the supporting hyperplane, where the
+    apex coordinate is zero."""
+    rows = pre.basis_rows
+    sD = _sign(pre.basis_det)
+    v = _integral((*o, 1, *d, 0))
+    orow, drow = v[:5], v[5:]
+    return [(sD * det5h(*rows[:i], orow, *rows[i + 1:]),
+             sD * det5h(*rows[:i], drow, *rows[i + 1:])) for i in range(4)]
+
+
+def _segment_clip_in_plane(a, b, pre: TetraPre):
+    """Both endpoints on the supporting hyperplane: the closed parameter
+    interval (lo, hi), 0 <= lo <= hi <= 1, of a + t (b - a) inside the
+    tetrahedron; None if empty."""
+    return _clip(_bary_forms(a, _sub(b, a), pre), Fraction(0), Fraction(1))
 
 
 def segment_tetra_direct(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> Optional[Point4]:
@@ -651,62 +643,24 @@ def seg_tetra_hit(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre] = None) 
 # triangle vs triangle
 
 
-def complete_plane_basis(d1, d2):
-    """Two coordinate axes completing span(d1, d2) to a basis of R^4."""
-    picked = []
-    base = [d1, d2]
-    for j in range(4):
-        e = tuple(1 if i == j else 0 for i in range(4))
-        trial = base + [e]
-        if len(picked) == 0:
-            ok = any(
-                det3(
-                    tuple(trial[0][k] for k in cols),
-                    tuple(trial[1][k] for k in cols),
-                    tuple(trial[2][k] for k in cols),
-                )
-                != 0
-                for cols in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
-            )
-            if ok:
-                picked.append(e)
-                base = trial
-        else:
-            if det4(base[0], base[1], base[2], e) != 0:
-                picked.append(e)
-                break
-    if len(picked) != 2:
-        raise DegenerateDirection("cannot complete plane basis")
-    return picked[0], picked[1]
-
-
-def triangle_edge_orientations(tri: Triangle4):
-    """Calibration sign per edge: the orientation of the edge line against a
-    reference 2-plane through the centroid, transverse to the triangle."""
-    p, q, r = tri.vertices
-    d1, d2 = _sub(q, p), _sub(r, p)
-    f1, f2 = complete_plane_basis(d1, d2)
-    g3 = tuple(p[i] + q[i] + r[i] for i in range(4))
-    ref = [
-        g3 + (3,),
-        tuple(g3[i] + 3 * f1[i] for i in range(4)) + (3,),
-        tuple(g3[i] + 3 * f2[i] for i in range(4)) + (3,),
-    ]
-    eps = []
-    for u, v in tri.edges():
-        s = _sign(det5h(u + (1,), v + (1,), ref[0], ref[1], ref[2]))
-        if s == 0:
-            raise DegenerateDirection("reference plane hit an edge line")
-        eps.append(s)
-    return tuple(eps)
-
-
 class TrianglePre:
+    """A triangle and its edge calibration signs: eps[k] * orient5(edge k,
+    2-flat) is the same for the three edges when the 2-flat pierces the
+    triangle.  They are the boundary orientation (1, -1, 1) times the sign
+    s of det4(q - p, r - p, e_j, e_k) for the first coordinate pair (j, k)
+    where it is nonzero."""
+
     __slots__ = ("tri", "eps")
 
     def __init__(self, tri: Triangle4):
         self.tri = tri
-        self.eps = triangle_edge_orientations(tri)
+        p, q, r = tri.vertices
+        d1, d2 = _sub(q, p), _sub(r, p)
+        for j, k in _PAIRS:
+            s = _sign(det4(d1, d2, _UNIT[j], _UNIT[k]))
+            if s:
+                break
+        self.eps = (s, -s, s)
 
 
 def _edge_signs_against_plane(tri: Triangle4, eps, plane_pts):
@@ -739,67 +693,35 @@ def tri_tri_predicate(t1: Triangle4, t2: Triangle4,
     return True
 
 
-def _plane_equations(pts):
-    """Two independent hyperplane equations (n, c) of the 2-plane through
-    three points."""
-    p = pts[0]
-    d1, d2 = _sub(pts[1], p), _sub(pts[2], p)
-    # null space of span(d1,d2): solve n . d1 = 0, n . d2 = 0
-    sols = linsolve([list(d1), list(d2)], [0, 0])
-    assert sols is not None
-    _part, basis = sols
-    if len(basis) != 2:
-        raise DegenerateDirection("degenerate plane")
-    return [(tuple(n), _dot(n, p)) for n in basis]
+def _tri_tri_system(t1: Triangle4, t2: Triangle4):
+    """linsolve's (particular solution, null-space basis) of
+    p1 + s d11 + t d12 = p2 + u d21 + v d22 in (s, t, u, v), or None when
+    the two supporting 2-planes do not meet."""
+    p1, p2 = t1.p, t2.p
+    d11, d12 = _sub(t1.q, p1), _sub(t1.r, p1)
+    d21, d22 = _sub(t2.q, p2), _sub(t2.r, p2)
+    A = [[d11[i], d12[i], -d21[i], -d22[i]] for i in range(4)]
+    return linsolve(A, [p2[i] - p1[i] for i in range(4)])
 
 
-def _tri_bary2(tri: Triangle4, pt):
-    """(s, t) with pt = p + s(q-p) + t(r-p); None if pt is off the plane."""
-    p = tri.p
-    d1, d2 = _sub(tri.q, p), _sub(tri.r, p)
-    rhs = _sub(pt, p)
-    for i in range(4):
-        for j in range(i + 1, 4):
-            det = d1[i] * d2[j] - d1[j] * d2[i]
-            if det != 0:
-                s = Fraction(rhs[i] * d2[j] - rhs[j] * d2[i], det)
-                t = Fraction(d1[i] * rhs[j] - d1[j] * rhs[i], det)
-                for k in range(4):
-                    if p[k] + s * d1[k] + t * d2[k] != pt[k]:
-                        return None
-                return s, t
-    return None
-
-
-def point_in_triangle(pt, tri: Triangle4) -> bool:
-    st = _tri_bary2(tri, pt)
-    if st is None:
-        return False
-    s, t = st
-    return s >= 0 and t >= 0 and s + t <= 1
+def _tri_point(tri: Triangle4, s, t) -> Point4:
+    p, q, r = tri.vertices
+    return Point4(*(p[i] + s * (q[i] - p[i]) + t * (r[i] - p[i]) for i in range(4)))
 
 
 def tri_tri_direct(t1: Triangle4, t2: Triangle4) -> Optional[Point4]:
     """The single 2-plane meeting point xi if it lies in both closed
     triangles; DegeneratePosition when the supporting 2-planes are not in
     general position."""
-    p1 = t1.p
-    d11, d12 = _sub(t1.q, p1), _sub(t1.r, p1)
-    p2 = t2.p
-    d21, d22 = _sub(t2.q, p2), _sub(t2.r, p2)
-    # p1 + s d11 + t d12 = p2 + u d21 + v d22
-    A = [[d11[i], d12[i], -d21[i], -d22[i]] for i in range(4)]
-    b = [p2[i] - p1[i] for i in range(4)]
-    sol = linsolve(A, b)
+    sol = _tri_tri_system(t1, t2)
     if sol is None:
         raise DegeneratePosition("parallel 2-planes")
-    part, basis = sol
+    (s, t, u, v), basis = sol
     if basis:
         raise DegeneratePosition("2-planes meet in a line or coincide")
-    s, t, u, v = part
     if s < 0 or t < 0 or s + t > 1 or u < 0 or v < 0 or u + v > 1:
         return None
-    return Point4(*(p1[i] + s * d11[i] + t * d12[i] for i in range(4)))
+    return _tri_point(t1, s, t)
 
 
 def tri_tri_hit(t1: Triangle4, t2: Triangle4,
@@ -878,41 +800,6 @@ def linsolve(A, b):
 # fully general closed triangle-triangle solver (any relative position)
 
 
-def _line_triangle_interval(o, d, tri: Triangle4):
-    """For a line o + t d lying in tri's plane: the closed t-interval inside
-    the triangle, or None."""
-    b0 = _tri_bary2(tri, o)
-    od = tuple(o[i] + d[i] for i in range(4))
-    b1 = _tri_bary2(tri, od)
-    if b0 is None or b1 is None:
-        return None
-    s0, t0 = b0
-    ds, dt = b1[0] - s0, b1[1] - t0
-    lo, hi = None, None  # None = unbounded
-    # constraints: s >= 0, t >= 0, s + t <= 1
-    for c0, c1 in ((s0, ds), (t0, dt), (1 - s0 - t0, -ds - dt)):
-        if c1 == 0:
-            if c0 < 0:
-                return None
-        else:
-            bound = Fraction(-c0) / c1
-            if c1 > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return lo, hi
-
-
-def _chart2_indices(d1, d2):
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if d1[i] * d2[j] - d1[j] * d2[i] != 0:
-                return i, j
-    raise DegenerateDirection("no 2D chart")
-
-
 def _seg_seg_2d(a0, a1, b0, b1):
     """Closed 2D segment intersection; returns one witness point or None."""
     d = (a1[0] - a0[0], a1[1] - a0[1])
@@ -949,41 +836,33 @@ def _point_in_tri_2d(p, t0, t1, t2):
 
 
 def tri_tri_any(t1: Triangle4, t2: Triangle4) -> Optional[Point4]:
-    """Total closed-set triangle intersection in R^4 (any position)."""
-    eqs = _plane_equations(t1.vertices) + _plane_equations(t2.vertices)
-    A = [list(n) for n, _c in eqs]
-    b = [c for _n, c in eqs]
-    sol = linsolve(A, b)
+    """Total closed-set triangle intersection in R^4 (any position).
+
+    One solve of tri_tri_direct's system; the dimension of its null space
+    is the case.  None: the single meeting point, as tri_tri_direct.  One:
+    the 2-planes share a line, clipped by the six barycentric forms, and the
+    witness is the midpoint of the common segment.  Two: the triangles lie
+    in one 2-plane."""
+    sol = _tri_tri_system(t1, t2)
     if sol is None:
         return None
-    part, basis = sol
+    (s, t, u, v), basis = sol
     if not basis:
-        xi = Point4(*part)
-        if point_in_triangle(xi, t1) and point_in_triangle(xi, t2):
-            return xi
-        return None
+        if s < 0 or t < 0 or s + t > 1 or u < 0 or v < 0 or u + v > 1:
+            return None
+        return _tri_point(t1, s, t)
     if len(basis) == 1:
-        o, d = tuple(part), tuple(basis[0])
-        i1 = _line_triangle_interval(o, d, t1)
-        if i1 is None:
+        ds, dt, du, dv = basis[0]
+        clip = _clip(((s, ds), (t, dt), (1 - s - t, -ds - dt),
+                      (u, du), (v, dv), (1 - u - v, -du - dv)), None, None)
+        if clip is None:
             return None
-        i2 = _line_triangle_interval(o, d, t2)
-        if i2 is None:
-            return None
-        lo = max(x for x in (i1[0], i2[0]) if x is not None) if (i1[0] is not None or i2[0] is not None) else None
-        hi = min(x for x in (i1[1], i2[1]) if x is not None) if (i1[1] is not None or i2[1] is not None) else None
-        if lo is None or hi is None:
-            # triangles are bounded, so both bounds exist unless degenerate
-            lo = lo if lo is not None else hi
-            hi = hi if hi is not None else lo
-        if lo is None or lo > hi:
-            return None
-        tm = (lo + hi) / 2
-        return Point4(*(o[i] + tm * d[i] for i in range(4)))
+        tm = (clip[0] + clip[1]) / 2
+        return _tri_point(t1, s + tm * ds, t + tm * dt)
     # coplanar triangles: work in a 2D chart of the common plane
     p = t1.p
     d1, d2 = _sub(t1.q, p), _sub(t1.r, p)
-    i, j = _chart2_indices(d1, d2)
+    i, j = _chart2(d1, d2)
     to2 = lambda q: (q[i], q[j])
     u = tuple(to2(v) for v in t1.vertices)
     v = tuple(to2(w) for w in t2.vertices)
@@ -1166,26 +1045,5 @@ def line_tetra_interval(o, d, t: Tetrahedron4, pre: Optional[TetraPre] = None):
         return None
     if vo != 0:
         return None
-    # line inside the hyperplane: clip by barycentric linear forms.  Rows are
-    # scaled to integers; the scale factors cancel in the sign logic.
-    rows = pre.basis_rows
-    sD = _sign(pre.basis_det)
-    orow = _scaled_row(o)
-    lam = orow[4]
-    drow, mu = _scaled_dir_row(d)
-    lo, hi = None, None
-    for i in range(4):
-        a_i = det5h(*(rows[:i] + [orow] + rows[i + 1 :])) * mu * sD
-        b_i = det5h(*(rows[:i] + [drow] + rows[i + 1 :])) * lam * sD
-        if b_i == 0:
-            if a_i < 0:
-                return None
-        else:
-            bound = -Fraction(a_i) / b_i
-            if b_i > 0:
-                lo = bound if lo is None else max(lo, bound)
-            else:
-                hi = bound if hi is None else min(hi, bound)
-    if lo is not None and hi is not None and lo > hi:
-        return None
-    return ("interval", lo, hi)
+    clip = _clip(_bary_forms(o, d, pre), None, None)
+    return None if clip is None else ("interval", *clip)

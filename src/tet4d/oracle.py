@@ -23,16 +23,12 @@ from .kernel4d import (
     TetraPre,
     Triangle4,
     TrianglePre,
-    _dot,
-    _sign,
-    _sub,
     line_2flat_meet,
     line_tetra_interval,
     linsolve,
     seg_tetra_hit,
     segment_tetra_direct,
-    tetra_plane,
-    tri_tri_direct,
+    tetra_tetra_intersect,
     tri_tri_any,
     tri_tri_hit,
 )
@@ -100,15 +96,6 @@ def tetra_seg_query(tetrahedra: Sequence[Tetrahedron4], segments: Sequence[Segme
 # setup (ii)
 
 
-def _tri_witness(t1: Triangle4, t2: Triangle4) -> Point4:
-    try:
-        w = tri_tri_direct(t1, t2)
-    except DegeneratePosition:
-        w = tri_tri_any(t1, t2)
-    assert w is not None
-    return w
-
-
 def tri_tri_query(red: Sequence[Triangle4], blue: Sequence[Triangle4],
                   mode: QueryMode) -> IntersectionReport:
     pres_r = [TrianglePre(t) for t in red]
@@ -120,7 +107,7 @@ def tri_tri_query(red: Sequence[Triangle4], blue: Sequence[Triangle4],
                 if mode == QueryMode.DETECT:
                     return _assemble(mode, [(i, j)], None)
                 hits.append((i, j))
-    return _assemble(mode, hits, lambda i, j: _tri_witness(red[i], blue[j]))
+    return _assemble(mode, hits, lambda i, j: tri_tri_any(red[i], blue[j]))
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +190,6 @@ class KCounts:
         return (self.k2, self.k3, self.k4)
 
 
-def _pair_intersects(ti, tj, pre_i: TetraPre, pre_j: TetraPre) -> bool:
-    from .kernel4d import tetra_tetra_intersect
-
-    return tetra_tetra_intersect(ti, tj, pre_i, pre_j) is not None
-
-
 def _triple_segment(pres, i, j, k):
     """Common intersection of three tetrahedra: a closed segment on the line
     h_i ^ h_j ^ h_k, returned as (origin, direction, lo, hi) or None."""
@@ -276,8 +257,6 @@ def arrangement_k_counts(tetrahedra: Sequence[Tetrahedron4]) -> KCounts:
     adj = [set() for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            from .kernel4d import tetra_tetra_intersect
-
             w = tetra_tetra_intersect(tetrahedra[i], tetrahedra[j], pres[i], pres[j])
             if w is not None:
                 pair_set.append((i, j))

@@ -48,14 +48,14 @@ from .kernel4d import (
     TetraPre,
     Triangle4,
     TrianglePre,
-    _lcm,
+    _integral,
     dual10,
     line_2flat_meet,
     plucker10,
     segment_tetra_direct,
     tri_tri_any,
 )
-from .oracle import IntersectionReport, QueryMode, _flat_witness, _tri_witness
+from .oracle import IntersectionReport, QueryMode, _flat_witness
 
 SETUP_SEG_TETRA = "SEG_QUERY_TETRA_INPUT"
 SETUP_TRI_TRI = "TRI_TRI"
@@ -366,7 +366,7 @@ class _SetupTriTri(_Setup):
         return tri_tri_any(ctx.qobj, self.objects[j]) is not None
 
     def witness(self, ctx: _QueryCtx, j: int) -> Point4:
-        return _tri_witness(ctx.qobj, self.objects[j])
+        return tri_tri_any(ctx.qobj, self.objects[j])
 
 
 class _SetupLineFlat(_Setup):
@@ -394,19 +394,6 @@ class _SetupLineFlat(_Setup):
         return _flat_witness(ctx.qobj, self.objects[j])
 
 
-def _integral(v):
-    """v times the least positive integer that clears its denominators: the
-    same sign against every vector, in plain ints."""
-    lam = 1
-    for x in v:
-        if type(x) is not int:
-            lam = _lcm(lam, x.denominator)
-    if lam == 1:
-        return tuple(int(x) for x in v)
-    return tuple(x.numerator * (lam // x.denominator) if type(x) is not int else x * lam
-                 for x in v)
-
-
 def _oriented_plane(pre: TetraPre):
     """The integer (n, c) of the tetrahedron's hyperplane times the sign of
     n's first nonzero entry, so that a hyperplane gets the same vector
@@ -417,15 +404,19 @@ def _oriented_plane(pre: TetraPre):
 
 
 def _calibrated_duals(pre: TetraPre):
-    """Facet i's ``dual10`` times its calibration sign eps[i], so that
-    _facet_sign(plucker10(a, b), duals[i]) == eps[i] * orient5(a, b, *facet_i)."""
+    """Facet i's ``dual10`` times its calibration sign eps[i], the boundary
+    orientation (-1)^i times one sign per tetrahedron, so that
+    _facet_sign(plucker10(a, b), duals[i]) == eps[i] * orient5(a, b, *facet_i)
+    and a line pierces the tetrahedron iff the four signs agree."""
     return tuple(_integral(tuple(e * v for v in dual10(*f))) for e, f in zip(pre.eps, pre.facets))
 
 
 def _calibrated_edges(tri: Triangle4):
-    """Edge k's ``plucker10`` times the triangle's edge calibration sign, so
-    that its dot product with dual10 of a 2-flat is eps[k] * orient5(edge k,
-    flat)."""
+    """Edge k's ``plucker10`` times the triangle's edge calibration sign
+    eps[k], the boundary orientation (1, -1, 1) times one sign per
+    triangle, so that its dot product with dual10 of a 2-flat is
+    eps[k] * orient5(edge k, flat) and a 2-flat pierces the triangle iff the
+    three signs agree."""
     eps = TrianglePre(tri).eps
     return tuple(_integral(tuple(e * v for v in plucker10(u, w)))
                  for e, (u, w) in zip(eps, tri.edges()))

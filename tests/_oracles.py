@@ -1,30 +1,40 @@
 """Independent reference implementations used only by tests.
 
 These deliberately avoid the package's own code paths: determinants by
-permutation expansion, segment/tetrahedron feasibility by a direct rational
-solve of the barycentric system.  The CCD reference at the end is the
-exception: it runs the package's 4D predicates on lifted prisms, which CCD's
-own pair test does not use.
+permutation expansion, triangle membership by a 2x2 solve in the triangle's
+plane, calibration signs by an interior probe line (the package uses their
+closed form), segment/tetrahedron feasibility by a direct rational solve of
+the barycentric system.  The CCD reference at the end is the exception: it
+runs the package's 4D predicates on lifted prisms, which CCD's own pair test
+does not use.
 """
 
 from fractions import Fraction
 from itertools import permutations
 
 from tet4d.kernel4d import (
+    DegenerateDirection,
+    DegenerateTetrahedron,
     Point4,
     Segment4,
     Tetrahedron4,
     TetraPre,
     Triangle4,
     TrianglePre,
+    _FACETS,
     _dot,
+    _sign,
+    _sub,
     as_exact,
+    det3,
+    det4,
+    det5h,
     seg_tetra_hit,
     segment_tetra_direct,
     tetra_plane,
+    tri_tri_any,
     tri_tri_hit,
 )
-from tet4d.oracle import _tri_witness
 
 
 def det_perm(rows):
@@ -61,6 +71,117 @@ def _rref(A, b):
         if M[k][n] != 0:
             return None
     return M, piv
+
+
+# ---------------------------------------------------------------------------
+# membership in a triangle, by a direct 2x2 solve in its plane
+
+
+def _tri_bary2(tri: Triangle4, pt):
+    """(s, t) with pt = p + s(q-p) + t(r-p); None if pt is off the plane."""
+    p = tri.p
+    d1, d2 = _sub(tri.q, p), _sub(tri.r, p)
+    rhs = _sub(pt, p)
+    for i in range(4):
+        for j in range(i + 1, 4):
+            det = d1[i] * d2[j] - d1[j] * d2[i]
+            if det != 0:
+                s = Fraction(rhs[i] * d2[j] - rhs[j] * d2[i], det)
+                t = Fraction(d1[i] * rhs[j] - d1[j] * rhs[i], det)
+                for k in range(4):
+                    if p[k] + s * d1[k] + t * d2[k] != pt[k]:
+                        return None
+                return s, t
+    return None
+
+
+def point_in_triangle(pt, tri: Triangle4) -> bool:
+    st = _tri_bary2(tri, pt)
+    if st is None:
+        return False
+    s, t = st
+    return s >= 0 and t >= 0 and s + t <= 1
+
+
+# ---------------------------------------------------------------------------
+# calibration signs by an interior probe: the reference for the closed forms
+# in TetraPre.eps and TrianglePre.eps
+
+
+def facet_orientations(t: Tetrahedron4):
+    """Calibration sign per facet: the sign of the orientation determinant of
+    an interior probe line against the facet's vertex rows.  A directed line
+    meets the closed tetrahedron iff its four calibrated signs contain no
+    strict +/- conflict."""
+    n, _c = tetra_plane(t)
+    j = max(range(4), key=lambda k: (abs(n[k]), -k))
+    v = t.vertices
+    g4 = tuple(v[0][i] + v[1][i] + v[2][i] + v[3][i] for i in range(4))
+    e = tuple(4 if i == j else 0 for i in range(4))
+    pa = tuple(g4[i] - e[i] for i in range(4)) + (4,)
+    pb = tuple(g4[i] + e[i] for i in range(4)) + (4,)
+    eps = []
+    for f in _FACETS:
+        rows = [v[i] + (1,) for i in f]
+        s = _sign(det5h(pa, pb, rows[0], rows[1], rows[2]))
+        if s == 0:
+            raise DegenerateTetrahedron("probe failed; tetrahedron near-degenerate")
+        eps.append(s)
+    return tuple(eps)
+
+
+def complete_plane_basis(d1, d2):
+    """Two coordinate axes completing span(d1, d2) to a basis of R^4."""
+    picked = []
+    base = [d1, d2]
+    for j in range(4):
+        e = tuple(1 if i == j else 0 for i in range(4))
+        trial = base + [e]
+        if len(picked) == 0:
+            ok = any(
+                det3(
+                    tuple(trial[0][k] for k in cols),
+                    tuple(trial[1][k] for k in cols),
+                    tuple(trial[2][k] for k in cols),
+                )
+                != 0
+                for cols in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))
+            )
+            if ok:
+                picked.append(e)
+                base = trial
+        else:
+            if det4(base[0], base[1], base[2], e) != 0:
+                picked.append(e)
+                break
+    if len(picked) != 2:
+        raise DegenerateDirection("cannot complete plane basis")
+    return picked[0], picked[1]
+
+
+def triangle_edge_orientations(tri: Triangle4):
+    """Calibration sign per edge: the orientation of the edge line against a
+    reference 2-plane through the centroid, transverse to the triangle."""
+    p, q, r = tri.vertices
+    d1, d2 = _sub(q, p), _sub(r, p)
+    f1, f2 = complete_plane_basis(d1, d2)
+    g3 = tuple(p[i] + q[i] + r[i] for i in range(4))
+    ref = [
+        g3 + (3,),
+        tuple(g3[i] + 3 * f1[i] for i in range(4)) + (3,),
+        tuple(g3[i] + 3 * f2[i] for i in range(4)) + (3,),
+    ]
+    eps = []
+    for u, v in tri.edges():
+        s = _sign(det5h(u + (1,), v + (1,), ref[0], ref[1], ref[2]))
+        if s == 0:
+            raise DegenerateDirection("reference plane hit an edge line")
+        eps.append(s)
+    return tuple(eps)
+
+
+# ---------------------------------------------------------------------------
+# segment / tetrahedron feasibility
 
 
 def lp_seg_tetra_feasible(seg, tet) -> bool:
@@ -275,7 +396,7 @@ def lifted_prism_meet(pa, pb):
     for ta, pra, ba in zip(pa.triangles, pa.tri_pres, pa.tri_boxes):
         for tb, prb, bb in zip(pb.triangles, pb.tri_pres, pb.tri_boxes):
             if not _boxes_apart(ba, bb) and tri_tri_hit(ta, tb, pra, prb):
-                return _tri_witness(ta, tb)
+                return tri_tri_any(ta, tb)
     return None
 
 

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import det_perm, lp_seg_tetra_feasible
+from _oracles import (
+    _tri_bary2,
+    det_perm,
+    facet_orientations,
+    lp_seg_tetra_feasible,
+    point_in_triangle,
+    simplex_meet_vertices,
+    triangle_edge_orientations,
+)
 from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d.kernel4d import (
     NEG,
@@ -21,6 +29,7 @@ from tet4d.kernel4d import (
     TetraPre,
     Tetrahedron4,
     Triangle4,
+    TrianglePre,
     det4,
     det5h,
     dual10,
@@ -32,7 +41,6 @@ from tet4d.kernel4d import (
     orient5,
     plucker10,
     point_in_tetra,
-    point_in_triangle,
     seg_tetra_hit,
     segment_tetra_direct,
     segment_tetra_predicate,
@@ -518,3 +526,110 @@ class TestPluckerDual:
         v = sum(p * d for p, d in zip(plucker10(a, b), dual10(f0, f1, f2)))
         assert v == det_perm([tuple(p) + (1,) for p in pts])
         assert (v > 0) - (v < 0) == orient5(a, b, f0, f1, f2)
+
+
+# ---------------------------------------------------------------------------
+# calibration signs: the closed forms against the interior probe
+
+
+@st.composite
+def _scaled_points(draw, k):
+    """k points with coordinates in [-R, R], R from 1 to 1000, often in a
+    thin layout: the last point one lattice step off the affine hull of the
+    others, or every point in one coordinate hyperplane (two of them for
+    k = 3).  Coordinates are divided by small denominators half the time."""
+    R = draw(st.sampled_from((1, 2, 10, 1000)) | st.integers(1, 1000))
+    c = st.integers(-R, R)
+    pts = [[draw(c) for _ in range(4)] for _ in range(k)]
+    layout = draw(st.sampled_from(("generic", "thin", "coordinate")))
+    if layout == "thin":
+        # the last point one lattice step away from p0 + (p1 - p0) + ...
+        last = [pts[0][i] + sum(p[i] - pts[0][i] for p in pts[1:-1]) for i in range(4)]
+        last[draw(st.integers(0, 3))] += draw(st.sampled_from((-1, 1)))
+        pts[-1] = last
+    elif layout == "coordinate":
+        for axis in draw(st.lists(st.integers(0, 3), min_size=1, max_size=4 - (k - 1),
+                                  unique=True)):
+            v = draw(c)
+            for p in pts:
+                p[axis] = v
+    if draw(st.booleans()):
+        dens = [draw(st.integers(1, 9)) for _ in range(k)]
+        return [Point4(*(F(x, d) for x in p)) for p, d in zip(pts, dens)]
+    return [Point4(*p) for p in pts]
+
+
+class TestCalibrationSigns:
+    @settings(max_examples=400, deadline=None)
+    @given(_scaled_points(4))
+    def test_tetra_eps_equals_probe(self, pts):
+        try:
+            t = Tetrahedron4(*pts)
+        except DegenerateTetrahedron:
+            return
+        assert TetraPre(t).eps == facet_orientations(t)
+
+    @settings(max_examples=400, deadline=None)
+    @given(_scaled_points(3))
+    def test_triangle_eps_equals_probe(self, pts):
+        try:
+            tri = Triangle4(*pts)
+        except ValueError:
+            return
+        assert TrianglePre(tri).eps == triangle_edge_orientations(tri)
+
+
+# ---------------------------------------------------------------------------
+# tri_tri_any against the vertices of the common intersection
+
+
+@st.composite
+def _triangle_pair(draw):
+    """Two triangles on a lattice pool of 6 to 12 points, so that they often
+    share vertices and edges, or ("apart") on the pool's first six points,
+    three each; the pool may lie in one hyperplane or in one 2-plane, and
+    may be divided by small denominators."""
+    layout = draw(st.sampled_from(("pool", "apart", "hyperplane", "plane")))
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = [[rnd.randint(-3, 3) for _ in range(4)] for _ in range(rnd.randint(6, 12))]
+    if layout == "hyperplane":
+        n = [rnd.randint(-1, 1) for _ in range(3)]
+        for p in pool:
+            p[3] = n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
+    elif layout == "plane":
+        for p in pool:
+            p[2] = p[0] - p[1]
+            p[3] = 2 * p[1]
+    if draw(st.booleans()):
+        pool = [[F(x, d) for x in p] for p, d in zip(pool, (rnd.randint(1, 4) for _ in pool))]
+    pool = [Point4(*p) for p in pool]
+    picks = [pool[:3], pool[3:6]] if layout == "apart" else [rnd.sample(pool, 3) for _ in range(2)]
+    try:
+        return [Triangle4(*pick) for pick in picks]
+    except ValueError:
+        return None
+
+
+class TestTriTriAnyReference:
+    @settings(max_examples=800, deadline=None)
+    @given(_triangle_pair())
+    def test_against_meet_vertices(self, pair):
+        if pair is None:
+            return
+        a, b = pair
+        w = tri_tri_any(a, b)
+        verts = simplex_meet_vertices([a.vertices, b.vertices])
+        assert (w is not None) == bool(verts)
+        try:
+            direct = tri_tri_direct(a, b)
+        except DegeneratePosition:
+            pass
+        else:
+            assert direct == w
+        if w is None:
+            return
+        assert point_in_triangle(w, a) and point_in_triangle(w, b)
+        if any(_tri_bary2(a, v) is None for v in b.vertices):
+            # different 2-planes: the meet is a point or a segment
+            assert len(verts) <= 2
+            assert tuple(w) == tuple(sum(v[i] for v in verts) / len(verts) for i in range(4))
