@@ -34,6 +34,7 @@ from .kernel4d import (
     Tetrahedron4,
     TetraPre,
     Triangle4,
+    _chart2,
     _clip,
     _dot,
     _segment_clip_in_plane,
@@ -46,7 +47,7 @@ from .kernel4d import (
     tri_tri_any,
     tri_tri_direct,
 )
-from .oracle import QueryMode
+from .oracle import QueryMode, _canon_point
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,6 @@ class IntersectionPolygon:
     ordered_vertices: List[Point4]
 
 
-def _canon(p) -> Point4:
-    return Point4(*(Fraction(c) for c in p))
-
-
 # ---------------------------------------------------------------------------
 # pairwise witnesses via batched structure queries
 
@@ -78,36 +75,21 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
     n = len(tetrahedra)
     if n < 2:
         return []
-    edges = []
-    owner = []
-    for i, t in enumerate(tetrahedra):
-        for (u, v) in tetra_edges(t):
-            edges.append(Segment4(u, v))
-            owner.append(i)
-    rep, _ = rt._batched(rt.SETUP_SEG_TETRA, tetrahedra, edges, QueryMode.REPORT)
+    # (owner, object) lists: every edge queries the tetrahedra, and every
+    # 2-face queries the 2-faces
+    tets = list(enumerate(tetrahedra))
+    edges = [(i, Segment4(u, v)) for i, t in tets for (u, v) in tetra_edges(t)]
+    faces = [(i, Triangle4(*f)) for i, t in tets for f in tetra_facets(t)]
     found: Dict[Tuple[int, int], PairWitness] = {}
-    for (qi, j, w) in rep.pairs:
-        i = owner[qi]
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key not in found:
-            found[key] = PairWitness(key, _canon(w), "EDGE_TETRA")
-
-    faces = []
-    fowner = []
-    for i, t in enumerate(tetrahedra):
-        for f in tetra_facets(t):
-            faces.append(Triangle4(*f))
-            fowner.append(i)
-    rep, _ = rt._batched(rt.SETUP_TRI_TRI, faces, faces, QueryMode.REPORT)
-    for (qi, oj, w) in rep.pairs:
-        i, j = fowner[qi], fowner[oj]
-        if i == j:
-            continue
-        key = (min(i, j), max(i, j))
-        if key not in found:
-            found[key] = PairWitness(key, _canon(w), "FACE_FACE")
+    for setup, inputs, queries, kind in ((rt.SETUP_SEG_TETRA, tets, edges, "EDGE_TETRA"),
+                                         (rt.SETUP_TRI_TRI, faces, faces, "FACE_FACE")):
+        rep, _ = rt._batched(setup, [x for _i, x in inputs], [q for _i, q in queries],
+                             QueryMode.REPORT)
+        for (qi, xj, w) in rep.pairs:
+            i, j = queries[qi][0], inputs[xj][0]
+            key = (min(i, j), max(i, j))
+            if i != j and key not in found:
+                found[key] = PairWitness(key, _canon_point(w), kind)
     return [found[k] for k in sorted(found)]
 
 
@@ -116,7 +98,7 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
 
 
 def _lerp(u, v, t) -> Point4:
-    return _canon(tuple(u[i] + t * (v[i] - u[i]) for i in range(4)))
+    return _canon_point(tuple(u[i] + t * (v[i] - u[i]) for i in range(4)))
 
 
 def _segment_piece(u, v, pre: TetraPre) -> List[Point4]:
@@ -133,17 +115,6 @@ def _segment_piece(u, v, pre: TetraPre) -> List[Point4]:
         return []
     p = _lerp(u, v, Fraction(va) / (va - vb))
     return [p] if pre.contains(p) else []
-
-
-def _plane_chart(ni, nj):
-    """Two coordinates that map the 2-plane {n_i.x = c_i, n_j.x = c_j} one
-    to one: the complement of a nonzero 2x2 minor of (n_i; n_j).  None when
-    the normals are parallel."""
-    for p in range(4):
-        for q in range(p + 1, 4):
-            if ni[p] * nj[q] - ni[q] * nj[p] != 0:
-                return tuple(k for k in range(4) if k not in (p, q))
-    return None
 
 
 def _hull2(pts, chart):
@@ -173,9 +144,12 @@ def _contact(ti: Tetrahedron4, tj: Tetrahedron4, pre_i: TetraPre, pre_j: TetraPr
     """The vertices of the convex set ti ^ tj in cyclic order: three or more
     for a polygon, two for a segment, one for a point, none when the pair is
     disjoint.  None when both lie in one hyperplane."""
-    chart = _plane_chart(pre_i.n, pre_j.n)
-    if chart is None:
+    # the complement of a nonzero 2x2 minor of the normals charts the common
+    # 2-plane one to one
+    minor = _chart2(pre_i.n, pre_j.n)
+    if minor is None:
         return None if _dot(pre_i.n, tj.v0) == pre_i.c else []
+    chart = tuple(k for k in range(4) if k not in minor)
     pts = {}
     # each vertex of ti ^ tj is an edge of one tetrahedron clipped to the
     # other, or the one point where two 2-faces in general position meet
@@ -195,7 +169,7 @@ def _contact(ti: Tetrahedron4, tj: Tetrahedron4, pre_i: TetraPre, pre_j: TetraPr
                 # ends of clipped edges
                 continue
             if w is not None:
-                w = _canon(w)
+                w = _canon_point(w)
                 pts[tuple(w)] = w
     return _hull2(list(pts.values()), chart)
 
@@ -358,19 +332,17 @@ def _polygon_pair_span(pa: _Piece, pb: _Piece):
     if line is None:
         return None
     # every fan triangle of a polygon lies in the polygon's plane, so all
-    # triangle pairs share one line: clip each triangle once
+    # of them meet the one line; the fan tiles the convex polygon, so the
+    # union of its triangles' clips is the polygon's one interval there
     o, d = line
-    clips_a = [c for c in (_clip_line_tri3(o, d, ta) for ta in pa.tris3) if c is not None]
-    clips_b = [c for c in (_clip_line_tri3(o, d, tb) for tb in pb.tris3) if c is not None]
-    lo = hi = None
-    for (la, ha) in clips_a:
-        for (lb, hb) in clips_b:
-            l2, h2 = max(la, lb), min(ha, hb)
-            if l2 > h2:
-                continue
-            lo = l2 if lo is None else min(lo, l2)
-            hi = h2 if hi is None else max(hi, h2)
-    if lo is None:
+    spans = []
+    for piece in (pa, pb):
+        clips = [c for c in (_clip_line_tri3(o, d, t) for t in piece.tris3) if c is not None]
+        if not clips:
+            return None
+        spans.append((min(c[0] for c in clips), max(c[1] for c in clips)))
+    lo, hi = max(spans[0][0], spans[1][0]), min(spans[0][1], spans[1][1])
+    if lo > hi:
         return None
     return line, lo, hi
 

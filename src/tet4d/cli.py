@@ -27,29 +27,24 @@ from . import rangetree as rt
 from .ccd import detect_collisions
 from .kernel4d import GeometryError
 from .oracle import (
+    SETUP_LINE_2FLAT,
+    SETUP_SEG_TETRA,
+    SETUP_TETRA_SEG,
+    SETUP_TRI_TRI,
     IntersectionReport,
     QueryMode,
     arrangement_k_counts,
-    line_2flat_query,
-    seg_tetra_query,
-    tetra_seg_query,
-    tri_tri_query,
+    brute_query,
 )
 from .rangetree import StorageBudget
-from .scenes import SceneFile, SchemaError, atomic_write, decode_objects, generate, load_scene
+from .scenes import SchemaError, atomic_write, decode_objects, generate, load_scene
 
+# per setup: the query problem, the input scene kind, the query scene kind
 SETUPS = {
-    "seg-tetra": rt.SETUP_SEG_TETRA,
-    "tri-tri": rt.SETUP_TRI_TRI,
-    "tetra-seg": rt.SETUP_TETRA_SEG,
-    "line-flat": rt.SETUP_LINE_2FLAT,
-}
-
-_SCENE_KIND = {
-    "seg-tetra": ("TETRAHEDRA", "SEGMENTS"),
-    "tri-tri": ("TRIANGLES", "TRIANGLES"),
-    "tetra-seg": ("SEGMENTS", "TETRAHEDRA"),
-    "line-flat": ("FLATS_AND_LINES", None),
+    "seg-tetra": (SETUP_SEG_TETRA, "TETRAHEDRA", "SEGMENTS"),
+    "tri-tri": (SETUP_TRI_TRI, "TRIANGLES", "TRIANGLES"),
+    "tetra-seg": (SETUP_TETRA_SEG, "SEGMENTS", "TETRAHEDRA"),
+    "line-flat": (SETUP_LINE_2FLAT, "FLATS_AND_LINES", None),
 }
 
 
@@ -62,12 +57,16 @@ def _mode(arg: str) -> QueryMode:
     return QueryMode(arg)
 
 
-def _emit(args, payload: dict, default_stream=True):
-    text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+def _write(args, text: str):
+    """The text to --out, atomically, or else to stdout."""
     if args.out:
         atomic_write(args.out, text)
-    elif default_stream:
+    else:
         sys.stdout.write(text)
+
+
+def _emit(args, payload: dict):
+    _write(args, json.dumps(payload, sort_keys=True, indent=1) + "\n")
 
 
 def _report_json(rep: IntersectionReport) -> dict:
@@ -93,7 +92,7 @@ def _stats_json(st: rt.QueryStats) -> dict:
 
 def _load_setup_inputs(args, setup_key: str):
     scene = load_scene(args.scene)
-    want_scene, want_query = _SCENE_KIND[setup_key]
+    _problem, want_scene, want_query = SETUPS[setup_key]
     if scene.kind != want_scene:
         raise SchemaError(f"setup {setup_key} needs a {want_scene} scene, got {scene.kind}")
     if setup_key == "line-flat":
@@ -115,19 +114,9 @@ def _load_setup_inputs(args, setup_key: str):
     return decode_objects(scene), decode_objects(qscene)
 
 
-def _oracle_report(setup_key: str, inputs, queries, mode: QueryMode) -> IntersectionReport:
-    if setup_key == "seg-tetra":
-        return seg_tetra_query(queries, inputs, mode)
-    if setup_key == "tetra-seg":
-        return tetra_seg_query(queries, inputs, mode)
-    if setup_key == "tri-tri":
-        return tri_tri_query(queries, inputs, mode)
-    return line_2flat_query(queries, inputs, mode)
-
-
 def run_query(setup_key: str, inputs, queries, mode: QueryMode, sigma, engine: str):
     """Returns (payload dict, mismatch flag)."""
-    setup = SETUPS[setup_key]
+    problem = SETUPS[setup_key][0]
     n = len(inputs)
     payload = {"setup": setup_key, "mode": mode.value, "engine": engine,
                "n": n, "m": len(queries), "sigma": str(sigma)}
@@ -135,14 +124,14 @@ def run_query(setup_key: str, inputs, queries, mode: QueryMode, sigma, engine: s
 
     oracle_rep = None
     if engine in ("oracle", "both"):
-        oracle_rep = _oracle_report(setup_key, inputs, queries, mode)
+        oracle_rep = brute_query(problem, queries, inputs, mode)
         payload["oracle"] = _report_json(oracle_rep)
 
     if engine in ("structure", "both"):
         budget = StorageBudget.from_sigma(n, sigma) if n else StorageBudget(0, 1)
         payload["s"] = budget.s
         payload["leafCutoff"] = budget.leaf_cutoff if n else 0
-        structure = rt.build(inputs, setup, budget)
+        structure = rt.build(inputs, problem, budget)
         t0 = time.perf_counter()
         rep, stats, per_query = rt.query_batch(structure, queries, mode)
         payload["wallMillis"] = round((time.perf_counter() - t0) * 1000.0, 3)
@@ -169,11 +158,7 @@ def cmd_gen(args):
                          spread=args.spread, m=args.m, style=args.style)
     except (SchemaError, ValueError, RuntimeError) as ex:
         _fail(3, str(ex))
-    text = scene.to_json() + "\n"
-    if args.out:
-        atomic_write(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write(args, scene.to_json() + "\n")
     return 0
 
 
@@ -193,11 +178,7 @@ def cmd_query(args):
         w.writerow(["indexA", "indexB", "x", "y", "z", "w"])
         for row in payload["report"]["pairs"]:
             w.writerow([row[0], row[1]] + row[2])
-        out = buf.getvalue()
-        if args.out:
-            atomic_write(args.out, out)
-        else:
-            sys.stdout.write(out)
+        _write(args, buf.getvalue())
     else:
         _emit(args, payload)
     if mismatch:
@@ -325,11 +306,7 @@ def cmd_bench(args):
     w.writeheader()
     for row in rows:
         w.writerow(row)
-    out = buf.getvalue()
-    if args.out:
-        atomic_write(args.out, out)
-    else:
-        sys.stdout.write(out)
+    _write(args, buf.getvalue())
     if any_mismatch:
         _fail(4, "bench observed an oracle mismatch")
     return 0
@@ -348,11 +325,7 @@ def cmd_predict(args):
         w.writerow(["sigma", "queryExponent", "prematureExponent"])
         for sig, e, p in tradeoff_samples(args.sigma_grid.split(",")):
             w.writerow([str(sig), f"{float(e):.6f}", f"{float(p):.6f}"])
-    out = buf.getvalue()
-    if args.out:
-        atomic_write(args.out, out)
-    else:
-        sys.stdout.write(out)
+    _write(args, buf.getvalue())
     return 0
 
 

@@ -488,18 +488,6 @@ class TetraPre:
             self._basis = (rows, det5h(*rows))
         return self._basis
 
-    def bary_signs(self, p: Sequence):
-        """Signs of the five affine coordinates of p in the basis
-        (v0..v3, apex), relative to the basis determinant sign."""
-        ds = _sign(self.basis_det)
-        rows = self.basis_rows
-        pr = _integral((*p, 1))
-        out = []
-        for i in range(5):
-            rep = rows[:i] + [pr] + rows[i + 1 :]
-            out.append(_sign(det5h(*rep)) * ds)
-        return out
-
     def contains(self, p: Sequence) -> bool:
         # the apex coordinate of p is (n.p - c) / |n|^2: test the hyperplane
         # first, then stop at the first negative vertex coordinate
@@ -522,10 +510,6 @@ def _integral(v):
         return tuple(v)
     lam = math.lcm(*(x.denominator for x in v))
     return tuple(x.numerator * (lam // x.denominator) for x in v)
-
-
-def point_in_tetra(p: Point4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> bool:
-    return (pre or TetraPre(t)).contains(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Brute-force reference implementations of every query setup.
 
-These are deliberately O(n*m) and serve as ground truth for the structure
-module and for all acceptance tests.  Pair loops use the exact sign
-predicates as a fast path and fall back to the exact direct solvers whenever
-any sub-sign is ZERO, so the results are exact on every input, degenerate or
-not.
+``PROBLEMS`` defines each query problem once, keyed by its setup name: how
+a query and an input object are prepared, the exact closed-set test of a
+prepared pair, and the pair's witness point.  The structure in
+``rangetree`` reads the same table.  ``brute_query`` tests every pair of a
+problem; it is deliberately O(n*m) and serves as ground truth for the
+structure module and for all acceptance tests.  Each pair test uses the
+exact sign predicates as a fast path and falls back to the exact direct
+solvers whenever any sub-sign is ZERO, so the results are exact on every
+input, degenerate or not.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel4d import (
     Contained,
@@ -32,6 +36,11 @@ from .kernel4d import (
     tri_tri_any,
     tri_tri_hit,
 )
+
+SETUP_SEG_TETRA = "SEG_QUERY_TETRA_INPUT"
+SETUP_TRI_TRI = "TRI_TRI"
+SETUP_TETRA_SEG = "TETRA_QUERY_SEG_INPUT"
+SETUP_LINE_2FLAT = "LINE_2FLAT"
 
 
 class QueryMode(str, enum.Enum):
@@ -63,55 +72,33 @@ def _assemble(mode: QueryMode, hits, witness_fn) -> IntersectionReport:
 
 
 # ---------------------------------------------------------------------------
-# setups (i) and (iii)
+# the query problems
+#
+# hit and witness look the kernel functions up by their module-global names
+# on every call, so that a wrapper patched onto this module sees each call.
 
 
-def seg_tetra_query(segments: Sequence[Segment4], tetrahedra: Sequence[Tetrahedron4],
-                    mode: QueryMode) -> IntersectionReport:
-    pres = [TetraPre(t) for t in tetrahedra]
-    hits = []
-    for i, e in enumerate(segments):
-        for j, t in enumerate(tetrahedra):
-            if seg_tetra_hit(e, t, pres[j]):
-                if mode == QueryMode.DETECT:
-                    return _assemble(mode, [(i, j)], None)
-                hits.append((i, j))
-    return _assemble(mode, hits, lambda i, j: segment_tetra_direct(segments[i], tetrahedra[j], pres[j]))
+class Problem(NamedTuple):
+    prep_query: Callable    # query object -> prepared query
+    prep_input: Callable    # input object -> prepared input
+    hit: Callable           # (prepared query, prepared input) -> bool
+    witness: Callable       # (prepared query, prepared input) -> Point4
 
 
-def tetra_seg_query(tetrahedra: Sequence[Tetrahedron4], segments: Sequence[Segment4],
-                    mode: QueryMode) -> IntersectionReport:
-    pres = [TetraPre(t) for t in tetrahedra]
-    hits = []
-    for i, t in enumerate(tetrahedra):
-        for j, e in enumerate(segments):
-            if seg_tetra_hit(e, t, pres[i]):
-                if mode == QueryMode.DETECT:
-                    return _assemble(mode, [(i, j)], None)
-                hits.append((i, j))
-    return _assemble(mode, hits, lambda i, j: segment_tetra_direct(segments[j], tetrahedra[i], pres[i]))
+def _same(x):
+    return x
 
 
-# ---------------------------------------------------------------------------
-# setup (ii)
+def _flat_points(flat):
+    return tuple(Point4(*p) for p in flat)
 
 
-def tri_tri_query(red: Sequence[Triangle4], blue: Sequence[Triangle4],
-                  mode: QueryMode) -> IntersectionReport:
-    pres_r = [TrianglePre(t) for t in red]
-    pres_b = [TrianglePre(t) for t in blue]
-    hits = []
-    for i, t1 in enumerate(red):
-        for j, t2 in enumerate(blue):
-            if tri_tri_hit(t1, t2, pres_r[i], pres_b[j]):
-                if mode == QueryMode.DETECT:
-                    return _assemble(mode, [(i, j)], None)
-                hits.append((i, j))
-    return _assemble(mode, hits, lambda i, j: tri_tri_any(red[i], blue[j]))
-
-
-# ---------------------------------------------------------------------------
-# lines vs 2-flats
+def _flat_hit(line: Segment4, flat) -> bool:
+    """The line meets the 2-flat; a line inside it counts as a meet."""
+    try:
+        return line_2flat_meet(line, flat) is not None
+    except Contained:
+        return True
 
 
 def _flat_witness(line: Segment4, flat) -> Point4:
@@ -123,19 +110,61 @@ def _flat_witness(line: Segment4, flat) -> Point4:
     return w
 
 
-def line_2flat_query(lines: Sequence[Segment4], flats, mode: QueryMode) -> IntersectionReport:
+PROBLEMS = {
+    # (i): query segments, input tetrahedra; (iii) swaps the two roles
+    SETUP_SEG_TETRA: Problem(
+        _same, TetraPre,
+        lambda e, pre: seg_tetra_hit(e, pre.tet, pre),
+        lambda e, pre: segment_tetra_direct(e, pre.tet, pre)),
+    SETUP_TETRA_SEG: Problem(
+        TetraPre, _same,
+        lambda pre, e: seg_tetra_hit(e, pre.tet, pre),
+        lambda pre, e: segment_tetra_direct(e, pre.tet, pre)),
+    # (ii): query (red) triangles, input (blue) triangles
+    SETUP_TRI_TRI: Problem(
+        TrianglePre, TrianglePre,
+        lambda r, b: tri_tri_hit(r.tri, b.tri, r, b),
+        lambda r, b: tri_tri_any(r.tri, b.tri)),
+    # query lines, input 2-flats given by three points
+    SETUP_LINE_2FLAT: Problem(_same, _flat_points, _flat_hit, _flat_witness),
+}
+
+
+def brute_query(setup: str, queries: Sequence, inputs: Sequence,
+                mode: QueryMode) -> IntersectionReport:
+    """Problem ``setup`` on every (query, input) pair, with indexA the query
+    index; DETECT stops at the first hit."""
+    problem = PROBLEMS[setup]
+    qs = [problem.prep_query(q) for q in queries]
+    xs = [problem.prep_input(x) for x in inputs]
+    hit = problem.hit
     hits = []
-    for i, ln in enumerate(lines):
-        for j, fl in enumerate(flats):
-            try:
-                meet = line_2flat_meet(ln, fl) is not None
-            except Contained:
-                meet = True
-            if meet:
+    for i, q in enumerate(qs):
+        for j, x in enumerate(xs):
+            if hit(q, x):
                 if mode == QueryMode.DETECT:
                     return _assemble(mode, [(i, j)], None)
                 hits.append((i, j))
-    return _assemble(mode, hits, lambda i, j: _flat_witness(lines[i], flats[j]))
+    return _assemble(mode, hits, lambda i, j: problem.witness(qs[i], xs[j]))
+
+
+def seg_tetra_query(segments: Sequence[Segment4], tetrahedra: Sequence[Tetrahedron4],
+                    mode: QueryMode) -> IntersectionReport:
+    return brute_query(SETUP_SEG_TETRA, segments, tetrahedra, mode)
+
+
+def tetra_seg_query(tetrahedra: Sequence[Tetrahedron4], segments: Sequence[Segment4],
+                    mode: QueryMode) -> IntersectionReport:
+    return brute_query(SETUP_TETRA_SEG, tetrahedra, segments, mode)
+
+
+def tri_tri_query(red: Sequence[Triangle4], blue: Sequence[Triangle4],
+                  mode: QueryMode) -> IntersectionReport:
+    return brute_query(SETUP_TRI_TRI, red, blue, mode)
+
+
+def line_2flat_query(lines: Sequence[Segment4], flats, mode: QueryMode) -> IntersectionReport:
+    return brute_query(SETUP_LINE_2FLAT, lines, flats, mode)
 
 
 # ---------------------------------------------------------------------------

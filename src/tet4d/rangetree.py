@@ -30,37 +30,43 @@ storage parameter s only controls the leaf cutoff ceil(n^{6/5} / s^{1/5}).
 A query runs one shared descent for the four sign-pattern passes (two
 choices for the endpoint side pattern x two for the orientation pattern);
 an object in degenerate position relative to the query is counted exactly
-once, in its canonical pass, after an exact closed-set test.
+once, in its canonical pass, after the problem's exact closed-set test
+from ``oracle.PROBLEMS``.
+
+Setup (iii) is setup (i) transposed: both use one six-level layout, with a
+segment's vectors (a, -1), (b, -1) and four copies of its Plücker vector,
+and a tetrahedron's hyperplane twice and its four calibrated facet duals.
+(i) stores the tetrahedron's vectors and queries with the segment's; (iii)
+stores the segment's and queries with the tetrahedron's.  Every level's
+sign is a dot product, so the two roles give the same signs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Tuple
+from typing import Callable, Tuple
 
 from .kernel4d import (
     BudgetOutOfRange,
-    Contained,
     Point4,
     Segment4,
-    Tetrahedron4,
     TetraPre,
-    Triangle4,
     TrianglePre,
     _integral,
     dual10,
-    line_2flat_meet,
     plucker10,
-    segment_tetra_direct,
-    tri_tri_any,
 )
-from .oracle import IntersectionReport, QueryMode, _flat_witness
-
-SETUP_SEG_TETRA = "SEG_QUERY_TETRA_INPUT"
-SETUP_TRI_TRI = "TRI_TRI"
-SETUP_TETRA_SEG = "TETRA_QUERY_SEG_INPUT"
-SETUP_LINE_2FLAT = "LINE_2FLAT"
+from .oracle import (
+    PROBLEMS,
+    SETUP_LINE_2FLAT,
+    SETUP_SEG_TETRA,
+    SETUP_TETRA_SEG,
+    SETUP_TRI_TRI,
+    IntersectionReport,
+    QueryMode,
+    _assemble,
+)
 
 INSIDE = "INSIDE"
 OUTSIDE = "OUTSIDE"
@@ -238,160 +244,22 @@ class _Tree:
 
 
 # ---------------------------------------------------------------------------
-# per-setup ingest
+# per-setup layout
 #
-# Every setup provides:
-#   levels            list[LevelSpec]
-#   points[level][j]  integer vector of object j at that level
-#   make_ctx(qobj)    per-query context holding one integer form per level
-#   closed_hit(ctx,j) exact closed-set intersection test (direct solver)
-#   witness(ctx, j)   exact witness point
-# and shares sigma(ctx, j), the per-level signs form . point.
+# Every setup's record holds:
+#   levels                    tuple[LevelSpec], one per level
+#   passes                    the sign patterns, one choice per level group
+#   input_vectors(prepared)   integer vector of a prepared input, per level
+#   query_forms(prepared)     integer form of a prepared query, per level
+# Objects are prepared, tested and witnessed by oracle.PROBLEMS[setup].
 
 
-class _QueryCtx:
-    __slots__ = ("forms", "qobj", "pre", "sigma_cache")
-
-    def __init__(self, forms, qobj, pre=None):
-        self.forms = forms        # level -> integer form
-        self.qobj = qobj
-        self.pre = pre            # the query's TetraPre, for setup (iii)
-        self.sigma_cache = {}
-
-
-class _Setup:
-    passes = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-
-    def __init__(self, objects, levels):
-        self.objects = list(objects)
-        self.levels = levels
-        # per pass, the sign each level must have; per group, its levels and
-        # the sign patterns some pass accepts there
-        self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
-        self.groups = []
-        for g in range(max(l.group for l in levels) + 1):
-            idx = tuple(i for i, l in enumerate(levels) if l.group == g)
-            self.groups.append((idx, {tuple(t[i] for i in idx) for t in self.targets.values()}))
-
-    def sigma(self, ctx: _QueryCtx, j: int):
-        """Per-level signs of object j against the query, group by group.
-        It stops after a group whose signs are all nonzero and match no
-        pass, so a tuple shorter than the level list is a miss."""
-        sig = ctx.sigma_cache.get(j)
-        if sig is None:
-            forms, points = ctx.forms, self.points
-            sig = ()
-            for idx, accepted in self.groups:
-                part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
-                sig += part
-                if part not in accepted and 0 not in part:
-                    break
-            ctx.sigma_cache[j] = sig
-        return sig
-
-
-class _SetupSegTetra(_Setup):
-    """Setup (i): input tetrahedra, query segments."""
-
-    name = SETUP_SEG_TETRA
-
-    def __init__(self, tetrahedra: Sequence[Tetrahedron4]):
-        super().__init__(tetrahedra, [
-            LevelSpec("ENDPOINT_SIDE_A", 5, 0, 1),
-            LevelSpec("ENDPOINT_SIDE_B", 5, 0, -1),
-        ] + [LevelSpec(f"FACET_ORIENT_{i+1}", 10, 1, 1) for i in range(4)])
-        self.pres = [TetraPre(t) for t in self.objects]
-        planes = [_oriented_plane(pre) for pre in self.pres]
-        duals = [_calibrated_duals(pre) for pre in self.pres]
-        self.points = [planes, planes] + [[d[i] for d in duals] for i in range(4)]
-
-    def make_ctx(self, e: Segment4) -> _QueryCtx:
-        a, b = e.a, e.b
-        forms = [_integral((*a, -1)), _integral((*b, -1))] + [_integral(plucker10(a, b))] * 4
-        return _QueryCtx(forms, e)
-
-    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
-        return segment_tetra_direct(ctx.qobj, self.objects[j], self.pres[j]) is not None
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
-        return segment_tetra_direct(ctx.qobj, self.objects[j], self.pres[j])
-
-
-class _SetupTetraSeg(_Setup):
-    """Setup (iii): input segments, query tetrahedra."""
-
-    name = SETUP_TETRA_SEG
-
-    def __init__(self, segments: Sequence[Segment4]):
-        super().__init__(segments, [
-            LevelSpec("SEG_ENDPOINT_A", 5, 0, 1),
-            LevelSpec("SEG_ENDPOINT_B", 5, 0, -1),
-        ] + [LevelSpec(f"LINE_ORIENT_{i+1}", 10, 1, 1) for i in range(4)])
-        pa = [_integral((*s.a, 1)) for s in self.objects]
-        pb = [_integral((*s.b, 1)) for s in self.objects]
-        pl = [_integral(plucker10(s.a, s.b)) for s in self.objects]
-        self.points = [pa, pb, pl, pl, pl, pl]
-
-    def make_ctx(self, t: Tetrahedron4) -> _QueryCtx:
-        pre = TetraPre(t)
-        plane = _oriented_plane(pre)
-        side = plane[:4] + (-plane[4],)
-        return _QueryCtx([side, side] + list(_calibrated_duals(pre)), t, pre)
-
-    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
-        return segment_tetra_direct(self.objects[j], ctx.qobj, ctx.pre) is not None
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
-        return segment_tetra_direct(self.objects[j], ctx.qobj, ctx.pre)
-
-
-class _SetupTriTri(_Setup):
-    """Setup (ii): input (blue) triangles, query (red) triangles."""
-
-    name = SETUP_TRI_TRI
-
-    def __init__(self, triangles: Sequence[Triangle4]):
-        super().__init__(triangles, [
-            LevelSpec(f"EDGE_ORIENT_{k+1}", 10, 0, 1) for k in range(3)
-        ] + [LevelSpec(f"PLANE_ORIENT_{k+1}", 10, 1, 1) for k in range(3)])
-        edges = [_calibrated_edges(tri) for tri in self.objects]
-        plane = [_integral(dual10(*tri.vertices)) for tri in self.objects]
-        self.points = [[e[k] for e in edges] for k in range(3)] + [plane, plane, plane]
-
-    def make_ctx(self, tq: Triangle4) -> _QueryCtx:
-        d = _integral(dual10(*tq.vertices))
-        return _QueryCtx([d, d, d] + list(_calibrated_edges(tq)), tq)
-
-    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
-        return tri_tri_any(ctx.qobj, self.objects[j]) is not None
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
-        return tri_tri_any(ctx.qobj, self.objects[j])
-
-
-class _SetupLineFlat(_Setup):
-    """Lines vs 2-flats: a line can meet a flat only where its Plücker
-    vector is orthogonal to the flat's dual vector."""
-
-    name = SETUP_LINE_2FLAT
-    passes = ((1,),)
-
-    def __init__(self, flats):
-        super().__init__([tuple(Point4(*p) for p in f) for f in flats],
-                         [LevelSpec("FLAT_MEET", 10, 0, 0)])
-        self.points = [[_integral(dual10(*f)) for f in self.objects]]
-
-    def make_ctx(self, line: Segment4) -> _QueryCtx:
-        return _QueryCtx([_integral(plucker10(line.a, line.b))], line)
-
-    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
-        try:
-            return line_2flat_meet(ctx.qobj, self.objects[j]) is not None
-        except Contained:
-            return True
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
-        return _flat_witness(ctx.qobj, self.objects[j])
+@dataclass(frozen=True)
+class _Layout:
+    levels: Tuple[LevelSpec, ...]
+    passes: Tuple[Tuple[int, ...], ...]
+    input_vectors: Callable
+    query_forms: Callable
 
 
 def _oriented_plane(pre: TetraPre):
@@ -411,15 +279,120 @@ def _calibrated_duals(pre: TetraPre):
     return tuple(_integral(tuple(e * v for v in dual10(*f))) for e, f in zip(pre.eps, pre.facets))
 
 
-def _calibrated_edges(tri: Triangle4):
+def _calibrated_edges(pre: TrianglePre):
     """Edge k's ``plucker10`` times the triangle's edge calibration sign
     eps[k], the boundary orientation (1, -1, 1) times one sign per
     triangle, so that its dot product with dual10 of a 2-flat is
     eps[k] * orient5(edge k, flat) and a 2-flat pierces the triangle iff the
     three signs agree."""
-    eps = TrianglePre(tri).eps
     return tuple(_integral(tuple(e * v for v in plucker10(u, w)))
-                 for e, (u, w) in zip(eps, tri.edges()))
+                 for e, (u, w) in zip(pre.eps, pre.tri.edges()))
+
+
+def _seg_vectors(e: Segment4):
+    """A segment at the six levels of setups (i) and (iii): its endpoints
+    (a, -1) and (b, -1) against a hyperplane (n, c), then its Plücker vector
+    against four facet duals."""
+    pl = _integral(plucker10(e.a, e.b))
+    return (_integral((*e.a, -1)), _integral((*e.b, -1)), pl, pl, pl, pl)
+
+
+def _tet_vectors(pre: TetraPre):
+    plane = _oriented_plane(pre)
+    return (plane, plane, *_calibrated_duals(pre))
+
+
+def _tri_vectors(pre: TrianglePre):
+    """A triangle's three calibrated edges against a 2-flat's dual, then its
+    own dual three times against the other triangle's edges."""
+    d = _integral(dual10(*pre.tri.vertices))
+    return (*_calibrated_edges(pre), d, d, d)
+
+
+def _tri_forms(pre: TrianglePre):
+    """A query triangle's vectors rotated by three levels: its dual against
+    the input's edges, then its edges against the input's dual."""
+    v = _tri_vectors(pre)
+    return v[3:] + v[:3]
+
+
+_SEG_TETRA_LEVELS = (
+    LevelSpec("ENDPOINT_SIDE_A", 5, 0, 1),
+    LevelSpec("ENDPOINT_SIDE_B", 5, 0, -1),
+) + tuple(LevelSpec(f"FACET_ORIENT_{i+1}", 10, 1, 1) for i in range(4))
+_TWO_GROUP_PASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+_LAYOUTS = {
+    SETUP_SEG_TETRA: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _tet_vectors, _seg_vectors),
+    SETUP_TETRA_SEG: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _seg_vectors, _tet_vectors),
+    SETUP_TRI_TRI: _Layout(
+        tuple(LevelSpec(f"EDGE_ORIENT_{k+1}", 10, 0, 1) for k in range(3))
+        + tuple(LevelSpec(f"PLANE_ORIENT_{k+1}", 10, 1, 1) for k in range(3)),
+        _TWO_GROUP_PASSES, _tri_vectors, _tri_forms),
+    # a line can meet a 2-flat only where its Plücker vector is orthogonal
+    # to the flat's dual vector
+    SETUP_LINE_2FLAT: _Layout(
+        (LevelSpec("FLAT_MEET", 10, 0, 0),), ((1,),),
+        lambda flat: (_integral(dual10(*flat)),),
+        lambda line: (_integral(plucker10(line.a, line.b)),)),
+}
+
+
+class _QueryCtx:
+    __slots__ = ("forms", "query", "sigma_cache")
+
+    def __init__(self, forms, query):
+        self.forms = forms        # level -> integer form
+        self.query = query        # the prepared query object
+        self.sigma_cache = {}
+
+
+class _Setup:
+    """One setup's input objects, prepared, and their vectors per level."""
+
+    def __init__(self, name: str, objects):
+        layout = _LAYOUTS[name]
+        self.problem = PROBLEMS[name]
+        self.levels = layout.levels
+        self.passes = layout.passes
+        self.query_forms = layout.query_forms
+        self.prepared = [self.problem.prep_input(x) for x in objects]
+        self.points = list(zip(*map(layout.input_vectors, self.prepared)))
+        # per pass, the sign each level must have; per group, its levels and
+        # the sign patterns some pass accepts there
+        levels = self.levels
+        self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
+        self.groups = []
+        for g in range(max(l.group for l in levels) + 1):
+            idx = tuple(i for i, l in enumerate(levels) if l.group == g)
+            self.groups.append((idx, {tuple(t[i] for i in idx) for t in self.targets.values()}))
+
+    def make_ctx(self, qobj) -> _QueryCtx:
+        q = self.problem.prep_query(qobj)
+        return _QueryCtx(self.query_forms(q), q)
+
+    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
+        """Exact closed-set test of object j against the query."""
+        return self.problem.hit(ctx.query, self.prepared[j])
+
+    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
+        return self.problem.witness(ctx.query, self.prepared[j])
+
+    def sigma(self, ctx: _QueryCtx, j: int):
+        """Per-level signs of object j against the query, group by group.
+        It stops after a group whose signs are all nonzero and match no
+        pass, so a tuple shorter than the level list is a miss."""
+        sig = ctx.sigma_cache.get(j)
+        if sig is None:
+            forms, points = ctx.forms, self.points
+            sig = ()
+            for idx, accepted in self.groups:
+                part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
+                sig += part
+                if part not in accepted and 0 not in part:
+                    break
+            ctx.sigma_cache[j] = sig
+        return sig
 
 
 def _facet_sign(p, d):
@@ -438,21 +411,13 @@ def _level_sign(form, x):
     return (v > 0) - (v < 0)
 
 
-_SETUPS = {
-    SETUP_SEG_TETRA: _SetupSegTetra,
-    SETUP_TRI_TRI: _SetupTriTri,
-    SETUP_TETRA_SEG: _SetupTetraSeg,
-    SETUP_LINE_2FLAT: _SetupLineFlat,
-}
-
-
 # ---------------------------------------------------------------------------
 # the structure
 
 
 class MultiLevelStructure:
     def __init__(self, setup_name: str, objects, budget: StorageBudget):
-        if setup_name not in _SETUPS:
+        if setup_name not in _LAYOUTS:
             raise ValueError(f"unknown setup {setup_name}")
         n = len(objects)
         if budget.n != n:
@@ -460,7 +425,7 @@ class MultiLevelStructure:
         self.setup_name = setup_name
         self.budget = budget
         self.built_nodes = 0
-        self.setup = _SETUPS[setup_name](objects) if n else None
+        self.setup = _Setup(setup_name, objects) if n else None
         self.levels = self.setup.levels if self.setup else []
         self.points = self.setup.points if self.setup else []
         self.n = n
@@ -611,14 +576,7 @@ def query(structure: MultiLevelStructure, query_object, mode: QueryMode,
         _visit(run, structure.root_tree, structure.root_tree.root, setup.passes)
     except _DetectHit:
         pass
-    hits = sorted(run.hits)
-    if mode == QueryMode.DETECT:
-        rep = IntersectionReport(bool(hits), 1 if hits else 0, [])
-    elif mode == QueryMode.COUNT:
-        rep = IntersectionReport(bool(hits), len(hits), [])
-    else:
-        pairs = [(0, j, setup.witness(ctx, j)) for j in hits]
-        rep = IntersectionReport(bool(pairs), len(pairs), pairs)
+    rep = _assemble(mode, [(0, j) for j in sorted(run.hits)], lambda _i, j: setup.witness(ctx, j))
     return rep, run.stats
 
 
@@ -628,26 +586,17 @@ def query_batch(structure: MultiLevelStructure, query_objects, mode: QueryMode):
     Returns (IntersectionReport, aggregated QueryStats, per-query stats)."""
     total = QueryStats()
     per_query = []
-    hits = []
+    count = 0
     pairs = []
-    detected = False
     for qi, q in enumerate(query_objects):
         rep, st = query(structure, q, mode)
         total.add(st)
         per_query.append(st)
-        if rep.detected:
-            detected = True
-        if mode == QueryMode.DETECT and detected:
-            return IntersectionReport(True, 1, []), total, per_query
-        if mode == QueryMode.COUNT:
-            hits.extend([(qi, None)] * rep.count)
-        elif mode == QueryMode.REPORT:
-            pairs.extend((qi, j, w) for (_z, j, w) in rep.pairs)
-    if mode == QueryMode.DETECT:
-        return IntersectionReport(False, 0, []), total, per_query
-    if mode == QueryMode.COUNT:
-        return IntersectionReport(bool(hits), len(hits), []), total, per_query
-    return IntersectionReport(bool(pairs), len(pairs), pairs), total, per_query
+        if mode == QueryMode.DETECT and rep.detected:
+            return rep, total, per_query
+        count += rep.count
+        pairs.extend((qi, j, w) for (_z, j, w) in rep.pairs)
+    return IntersectionReport(count > 0, count, pairs), total, per_query
 
 
 # ---------------------------------------------------------------------------

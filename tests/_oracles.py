@@ -23,6 +23,7 @@ from tet4d.kernel4d import (
     TrianglePre,
     _FACETS,
     _dot,
+    _integral,
     _sign,
     _sub,
     as_exact,
@@ -101,6 +102,27 @@ def point_in_triangle(pt, tri: Triangle4) -> bool:
         return False
     s, t = st
     return s >= 0 and t >= 0 and s + t <= 1
+
+
+# ---------------------------------------------------------------------------
+# membership in a tetrahedron
+
+
+def bary_signs(pre: TetraPre, p):
+    """Signs of the five affine coordinates of p in the basis (v0..v3, apex)
+    of pre's tetrahedron, relative to the basis determinant sign."""
+    ds = _sign(pre.basis_det)
+    rows = pre.basis_rows
+    pr = _integral((*p, 1))
+    out = []
+    for i in range(5):
+        rep = rows[:i] + [pr] + rows[i + 1 :]
+        out.append(_sign(det5h(*rep)) * ds)
+    return out
+
+
+def point_in_tetra(p, t: Tetrahedron4, pre=None) -> bool:
+    return (pre or TetraPre(t)).contains(p)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ every size up to the maximum occurs.
 """
 
 import csv
-import io
 import json
 import random
 import time

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from _oracles import brute_k_subsets, simplex_meet_vertices
 from conftest import cluster_tetra, rnd_tetra
 from tet4d.arrangement import (
-    IntersectionPolygon,
     intersection_polygon,
     k_counts,
     pairwise,

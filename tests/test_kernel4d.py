@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 
 from _oracles import (
     _tri_bary2,
+    bary_signs,
     det_perm,
     facet_orientations,
     lp_seg_tetra_feasible,
+    point_in_tetra,
     point_in_triangle,
     simplex_meet_vertices,
     triangle_edge_orientations,
@@ -23,7 +25,6 @@ from tet4d.kernel4d import (
     DegenerateDirection,
     DegeneratePosition,
     DegenerateTetrahedron,
-    Hyperplane4,
     Point4,
     Segment4,
     TetraPre,
@@ -40,7 +41,6 @@ from tet4d.kernel4d import (
     line_param,
     orient5,
     plucker10,
-    point_in_tetra,
     seg_tetra_hit,
     segment_tetra_direct,
     segment_tetra_predicate,
@@ -213,7 +213,7 @@ class TestTetraContains:
             sol = _rref(A, list(p) + [1])
             ref = sol is not None and all(M_row[4] >= 0 for M_row in sol[0][:4])
             assert pre.contains(p) == ref
-            s = pre.bary_signs(p)
+            s = bary_signs(pre, p)
             assert pre.contains(p) == (s[4] == 0 and all(v >= 0 for v in s[:4]))
             inside += ref
         assert 50 < inside < 250

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,7 +10,6 @@ from tet4d.kernel4d import (
     Tetrahedron4,
     TetraPre,
     generic_shear,
-    point_in_tetra,
     tetra_tetra_intersect,
 )
 from tet4d.oracle import (

@@ -98,3 +98,39 @@ def test_ccd_latency_probe_sees_every_pair(monkeypatch):
     ids = [id(mt) for mt in scene]
     assert len(seen) == 9 * 8 // 2
     assert set(seen) == {frozenset((ids[i], ids[j])) for i in range(9) for j in range(i + 1, 9)}
+
+
+def test_kernel_pair_tests_are_looked_up_by_name(monkeypatch):
+    # the tracer wraps oracle.seg_tetra_hit and oracle.tri_tri_hit; the
+    # problem table must reach them through those names, from the oracle's
+    # pair loop and from the structure's leaf fallback alike
+    import random
+
+    from conftest import rnd_segment, rnd_tetra, rnd_triangle
+    from test_rangetree import _degenerate_scene
+
+    oracle = _tet4d("oracle")
+    rt = _tet4d("rangetree")
+    calls = {"seg_tetra_hit": 0, "tri_tri_hit": 0}
+    for name in calls:
+        def counting(*args, _fn=getattr(oracle, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(oracle, name, counting)
+    rng = random.Random(5)
+    segs = [rnd_segment(rng, 5, 6) for _ in range(7)]
+    tets = [rnd_tetra(rng, 5, 6) for _ in range(5)]
+    red = [rnd_triangle(rng, 5, 6) for _ in range(6)]
+    blue = [rnd_triangle(rng, 5, 6) for _ in range(4)]
+    oracle.seg_tetra_query(segs, tets, oracle.QueryMode.COUNT)
+    oracle.tri_tri_query(red, blue, oracle.QueryMode.COUNT)
+    assert calls == {"seg_tetra_hit": 7 * 5, "tri_tri_hit": 6 * 4}
+
+    tets, segs = _degenerate_scene(random.Random(0))
+    st = rt.build(tets, rt.SETUP_SEG_TETRA, rt.StorageBudget.from_sigma(len(tets), 2))
+    calls["seg_tetra_hit"] = 0
+    _rep, total, _per = rt.query_batch(st, segs, oracle.QueryMode.COUNT)
+    fallbacks = total.exact_predicate_calls - total.leaf_items_scanned
+    assert fallbacks > 0
+    assert calls["seg_tetra_hit"] == fallbacks

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import cluster_tetra, rnd_flat, rnd_point, rnd_segment, rnd_tetra, rnd_triangle
+from conftest import rnd_flat, rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d import rangetree as rt
 from tet4d.kernel4d import (
     BudgetOutOfRange,
@@ -460,6 +460,23 @@ class TestDegenerateLeaves:
         assert sum(sa == 0 or sb == 0 for sa, sb in sides) > len(segs)
         assert any(sa == sb == 0 for sa, sb in sides)
         assert any(e.a.w == e.b.w for e in segs)
+
+
+def test_setup_iii_is_setup_i_transposed():
+    # a tetrahedron's query forms in (iii) are its stored vectors in (i), and
+    # a segment's stored vectors in (iii) are its query forms in (i)
+    rng = random.Random(11)
+    tets = [rnd_tetra(rng, 6, 6) for _ in range(6)]
+    segs = [rnd_segment(rng, 6, 6) for _ in range(6)]
+    tets.append(Tetrahedron4(*(Point4(*(F(c, k + 2) for c in p)) for k, p in enumerate(tets[0].vertices))))
+    segs.append(Segment4(Point4(*(F(c, 3) for c in segs[0].a)), segs[0].b))
+    st_i = rt.build(tets, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(len(tets), 2))
+    st_iii = rt.build(segs, rt.SETUP_TETRA_SEG, StorageBudget.from_sigma(len(segs), 2))
+    assert st_i.levels == st_iii.levels
+    for a, b, objs in ((st_i, st_iii, tets), (st_iii, st_i, segs)):
+        for j, x in enumerate(objs):
+            stored = tuple(a.points[level][j] for level in range(len(a.levels)))
+            assert tuple(b.setup.make_ctx(x).forms) == stored
 
 
 def _endpoint_sides(tet, seg):
