@@ -82,7 +82,7 @@ class Problem(NamedTuple):
     prep_query: Callable    # query object -> prepared query
     prep_input: Callable    # input object -> prepared input
     hit: Callable           # (prepared query, prepared input) -> bool
-    witness: Callable       # (prepared query, prepared input) -> Point4
+    witness: Callable       # (prepared query, prepared input) -> Point4, None on a miss
 
 
 def _same(x):
@@ -93,21 +93,13 @@ def _flat_points(flat):
     return tuple(Point4(*p) for p in flat)
 
 
-def _flat_hit(line: Segment4, flat) -> bool:
-    """The line meets the 2-flat; a line inside it counts as a meet."""
+def _flat_witness(line: Segment4, flat) -> Optional[Point4]:
+    """The line's meet with the 2-flat, its point a when it lies inside the
+    flat, or None when they miss."""
     try:
-        return line_2flat_meet(line, flat) is not None
-    except Contained:
-        return True
-
-
-def _flat_witness(line: Segment4, flat) -> Point4:
-    try:
-        w = line_2flat_meet(line, flat)
+        return line_2flat_meet(line, flat)
     except Contained:
         return Point4(*line.a)
-    assert w is not None
-    return w
 
 
 PROBLEMS = {
@@ -126,7 +118,9 @@ PROBLEMS = {
         lambda r, b: tri_tri_hit(r.tri, b.tri, r, b),
         lambda r, b: tri_tri_any(r.tri, b.tri)),
     # query lines, input 2-flats given by three points
-    SETUP_LINE_2FLAT: Problem(_same, _flat_points, _flat_hit, _flat_witness),
+    SETUP_LINE_2FLAT: Problem(_same, _flat_points,
+                              lambda line, flat: _flat_witness(line, flat) is not None,
+                              _flat_witness),
 }
 
 

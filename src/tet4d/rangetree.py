@@ -39,13 +39,24 @@ and a tetrahedron's hyperplane twice and its four calibrated facet duals.
 (i) stores the tetrahedron's vectors and queries with the segment's; (iii)
 stores the segment's and queries with the tetrahedron's.  Every level's
 sign is a dot product, so the two roles give the same signs.
+
+Box pruning.  In the bounded setups (i), (ii) and (iii) every input and
+every query also has a closed integer axis-aligned box, (floor lo_0..3,
+ceil hi_0..3) over its vertices, and every node of every level stores the
+union box of its items, merged bottom-up from its children.  The descent
+leaves a node whose box misses the query's box before it takes the node's
+form range, and a leaf drops the items whose box misses the query's before
+any sign is taken.  Two closed sets that meet have overlapping boxes, so
+no report changes.  Lines and 2-flats are unbounded, so the line-2-flat
+setup has no boxes and prunes by its zero-set level alone.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Tuple
+from typing import Callable, Optional, Tuple
 
 from .kernel4d import (
     BudgetOutOfRange,
@@ -132,6 +143,19 @@ class StorageBudget:
 
 @dataclass
 class QueryStats:
+    """Work counters of one query, or a sum of them.
+
+    nodes_visited: level-tree nodes the descent entered, including those
+        whose box misses the query's box and are left at once.
+    canonical_sets_touched: INSIDE classifications, one per pass, each
+        forwarding a node's item set to the next level or into the report.
+    leaf_items_scanned: leaf items whose box meets the query's box, each of
+        which has its level signs taken (``_Setup.sigma``).
+    exact_predicate_calls: those sign evaluations plus the zero-sign
+        fallbacks to the problem's direct solver, so that
+        exact_predicate_calls - leaf_items_scanned is the fallback count.
+    """
+
     nodes_visited: int = 0
     canonical_sets_touched: int = 0
     leaf_items_scanned: int = 0
@@ -170,6 +194,24 @@ def _form_range(form, lo, hi):
     return a, b
 
 
+def _box(points):
+    """Closed integer box (floor lo_0..3, ceil hi_0..3) of 4-D points."""
+    cols = tuple(zip(*points))
+    return tuple(math.floor(min(c)) for c in cols) + tuple(math.ceil(max(c)) for c in cols)
+
+
+def _hull(boxes):
+    """The smallest box containing every box of ``boxes``."""
+    cols = tuple(zip(*boxes))
+    return tuple(map(min, cols[:4])) + tuple(map(max, cols[4:]))
+
+
+def _meets(a, b):
+    """The closed boxes a and b overlap."""
+    return (a[0] <= b[4] and b[0] <= a[4] and a[1] <= b[5] and b[1] <= a[5]
+            and a[2] <= b[6] and b[2] <= a[6] and a[3] <= b[7] and b[3] <= a[7])
+
+
 def _classify(lo, hi, target: int) -> str:
     """INSIDE if every value in [lo, hi] has the sign `target`, OUTSIDE if
     none can (for target 0: the range misses zero), CROSSING otherwise."""
@@ -193,16 +235,18 @@ def _classify(lo, hi, target: int) -> str:
 
 
 class CanonicalNode:
-    """One node of a level tree: a bounding box, the canonical item set of
-    its subtree, children for CROSSING descent, and (lazily) the next-level
-    structure built on exactly its item set."""
+    """One node of a level tree: a bounding box of its items' level vectors,
+    the union of their primal boxes (None in the unbounded setup), the
+    canonical item set of its subtree, children for CROSSING descent, and
+    (lazily) the next-level structure built on exactly its item set."""
 
-    __slots__ = ("items", "box_lo", "box_hi", "children", "is_leaf", "_next")
+    __slots__ = ("items", "box_lo", "box_hi", "aabb", "children", "is_leaf", "_next")
 
-    def __init__(self, items, box_lo, box_hi, children, is_leaf):
+    def __init__(self, items, box_lo, box_hi, aabb, children, is_leaf):
         self.items = items
         self.box_lo = box_lo
         self.box_hi = box_hi
+        self.aabb = aabb
         self.children = children
         self.is_leaf = is_leaf
         self._next = None
@@ -225,22 +269,24 @@ class _Tree:
         lo = tuple(map(min, cols))
         hi = tuple(map(max, cols))
         owner.built_nodes += 1
-        if len(items) <= owner.budget.leaf_cutoff:
-            return CanonicalNode(items, lo, hi, None, True)
         axis = None
-        for probe in range(dim):
-            d = (depth + probe) % dim
-            if lo[d] != hi[d]:
-                axis = d
-                break
+        if len(items) > owner.budget.leaf_cutoff:
+            for probe in range(dim):
+                d = (depth + probe) % dim
+                if lo[d] != hi[d]:
+                    axis = d
+                    break
         if axis is None:
-            # all points identical: cannot split further
-            return CanonicalNode(items, lo, hi, None, True)
+            # a small item set, or all points identical: a leaf
+            boxes = owner.setup.boxes
+            aabb = None if boxes is None else _hull(boxes[i] for i in items)
+            return CanonicalNode(items, lo, hi, aabb, None, True)
         order = sorted(items, key=lambda i: (pts[i][axis], i))
         mid = len(order) // 2
         left = self._build(tuple(order[:mid]), depth + 1)
         right = self._build(tuple(order[mid:]), depth + 1)
-        return CanonicalNode(items, lo, hi, (left, right), False)
+        aabb = None if left.aabb is None else _hull((left.aabb, right.aabb))
+        return CanonicalNode(items, lo, hi, aabb, (left, right), False)
 
 
 # ---------------------------------------------------------------------------
@@ -251,6 +297,8 @@ class _Tree:
 #   passes                    the sign patterns, one choice per level group
 #   input_vectors(prepared)   integer vector of a prepared input, per level
 #   query_forms(prepared)     integer form of a prepared query, per level
+#   input_box, query_box      the closed integer box of a prepared input or
+#                             query; None for unbounded objects
 # Objects are prepared, tested and witnessed by oracle.PROBLEMS[setup].
 
 
@@ -260,6 +308,8 @@ class _Layout:
     passes: Tuple[Tuple[int, ...], ...]
     input_vectors: Callable
     query_forms: Callable
+    input_box: Optional[Callable] = None
+    query_box: Optional[Callable] = None
 
 
 def _oriented_plane(pre: TetraPre):
@@ -316,6 +366,18 @@ def _tri_forms(pre: TrianglePre):
     return v[3:] + v[:3]
 
 
+def _seg_box(e: Segment4):
+    return _box((e.a, e.b))
+
+
+def _tet_box(pre: TetraPre):
+    return _box(pre.tet.vertices)
+
+
+def _tri_box(pre: TrianglePre):
+    return _box(pre.tri.vertices)
+
+
 _SEG_TETRA_LEVELS = (
     LevelSpec("ENDPOINT_SIDE_A", 5, 0, 1),
     LevelSpec("ENDPOINT_SIDE_B", 5, 0, -1),
@@ -323,14 +385,16 @@ _SEG_TETRA_LEVELS = (
 _TWO_GROUP_PASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 _LAYOUTS = {
-    SETUP_SEG_TETRA: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _tet_vectors, _seg_vectors),
-    SETUP_TETRA_SEG: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _seg_vectors, _tet_vectors),
+    SETUP_SEG_TETRA: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _tet_vectors, _seg_vectors,
+                             _tet_box, _seg_box),
+    SETUP_TETRA_SEG: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _seg_vectors, _tet_vectors,
+                             _seg_box, _tet_box),
     SETUP_TRI_TRI: _Layout(
         tuple(LevelSpec(f"EDGE_ORIENT_{k+1}", 10, 0, 1) for k in range(3))
         + tuple(LevelSpec(f"PLANE_ORIENT_{k+1}", 10, 1, 1) for k in range(3)),
-        _TWO_GROUP_PASSES, _tri_vectors, _tri_forms),
+        _TWO_GROUP_PASSES, _tri_vectors, _tri_forms, _tri_box, _tri_box),
     # a line can meet a 2-flat only where its Plücker vector is orthogonal
-    # to the flat's dual vector
+    # to the flat's dual vector; both are unbounded, so neither has a box
     SETUP_LINE_2FLAT: _Layout(
         (LevelSpec("FLAT_MEET", 10, 0, 0),), ((1,),),
         lambda flat: (_integral(dual10(*flat)),),
@@ -339,11 +403,12 @@ _LAYOUTS = {
 
 
 class _QueryCtx:
-    __slots__ = ("forms", "query", "sigma_cache")
+    __slots__ = ("forms", "query", "box", "sigma_cache")
 
-    def __init__(self, forms, query):
+    def __init__(self, forms, query, box):
         self.forms = forms        # level -> integer form
         self.query = query        # the prepared query object
+        self.box = box            # its closed integer box, or None
         self.sigma_cache = {}
 
 
@@ -356,8 +421,11 @@ class _Setup:
         self.levels = layout.levels
         self.passes = layout.passes
         self.query_forms = layout.query_forms
+        self.query_box = layout.query_box
         self.prepared = [self.problem.prep_input(x) for x in objects]
         self.points = list(zip(*map(layout.input_vectors, self.prepared)))
+        box = layout.input_box
+        self.boxes = None if box is None else [box(x) for x in self.prepared]
         # per pass, the sign each level must have; per group, its levels and
         # the sign patterns some pass accepts there
         levels = self.levels
@@ -369,13 +437,12 @@ class _Setup:
 
     def make_ctx(self, qobj) -> _QueryCtx:
         q = self.problem.prep_query(qobj)
-        return _QueryCtx(self.query_forms(q), q)
+        box = None if self.query_box is None else self.query_box(q)
+        return _QueryCtx(self.query_forms(q), q, box)
 
-    def closed_hit(self, ctx: _QueryCtx, j: int) -> bool:
-        """Exact closed-set test of object j against the query."""
-        return self.problem.hit(ctx.query, self.prepared[j])
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Point4:
+    def witness(self, ctx: _QueryCtx, j: int) -> Optional[Point4]:
+        """A point shared by object j and the query, or None if they miss:
+        the problem's exact closed-set test by its direct solver."""
         return self.problem.witness(ctx.query, self.prepared[j])
 
     def sigma(self, ctx: _QueryCtx, j: int):
@@ -464,7 +531,7 @@ class _DetectHit(Exception):
 class _Run:
     """Mutable state of one query evaluation."""
 
-    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "audit", "detect")
+    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "audit", "detect")
 
     def __init__(self, struct, ctx, mode, audit=None):
         self.struct = struct
@@ -472,17 +539,24 @@ class _Run:
         self.mode = mode
         self.stats = QueryStats()
         self.hits = []
+        self.witnesses = {}       # object -> the point its fallback found
         self.audit = audit
         self.detect = mode == QueryMode.DETECT
 
 
 def _leaf_match(run: _Run, items, passes):
-    """Resolve leaf items exactly for the given passes.  A sign tuple shorter
-    than the level list is a miss: sigma stopped early because no pass can
-    match."""
+    """Resolve leaf items exactly for the given passes.  Items whose box
+    misses the query's are dropped first.  A sign tuple shorter than the
+    level list is a miss: sigma stopped early because no pass can match.
+    A zero sign is settled by the problem's witness, which is kept for the
+    report."""
     setup = run.struct.setup
     ctx = run.ctx
     stats = run.stats
+    qbox = ctx.box
+    if qbox is not None:
+        boxes = setup.boxes
+        items = [j for j in items if _meets(qbox, boxes[j])]
     stats.leaf_items_scanned += len(items)
     nlevels = len(setup.levels)
     targets = [setup.targets[p] for p in passes]
@@ -496,7 +570,9 @@ def _leaf_match(run: _Run, items, passes):
                 _record(run, j)
         elif _canonical_pass(setup, sig) in passes:
             stats.exact_predicate_calls += 1
-            if setup.closed_hit(ctx, j):
+            w = setup.witness(ctx, j)
+            if w is not None:
+                run.witnesses[j] = w
                 _record(run, j)
 
 
@@ -536,6 +612,9 @@ def _visit(run: _Run, tree: _Tree, node: CanonicalNode, passes):
     level = tree.level
     last = level == len(struct.levels) - 1
     run.stats.nodes_visited += 1
+    qbox = run.ctx.box
+    if qbox is not None and not _meets(qbox, node.aabb):
+        return
 
     lo, hi = _form_range(run.ctx.forms[level], node.box_lo, node.box_hi)
     spec = struct.levels[level]
@@ -576,7 +655,9 @@ def query(structure: MultiLevelStructure, query_object, mode: QueryMode,
         _visit(run, structure.root_tree, structure.root_tree.root, setup.passes)
     except _DetectHit:
         pass
-    rep = _assemble(mode, [(0, j) for j in sorted(run.hits)], lambda _i, j: setup.witness(ctx, j))
+    known = run.witnesses
+    rep = _assemble(mode, [(0, j) for j in sorted(run.hits)],
+                    lambda _i, j: known[j] if j in known else setup.witness(ctx, j))
     return rep, run.stats
 
 

@@ -101,17 +101,21 @@ def test_ccd_latency_probe_sees_every_pair(monkeypatch):
 
 
 def test_kernel_pair_tests_are_looked_up_by_name(monkeypatch):
-    # the tracer wraps oracle.seg_tetra_hit and oracle.tri_tri_hit; the
-    # problem table must reach them through those names, from the oracle's
-    # pair loop and from the structure's leaf fallback alike
+    # the tracer wraps oracle.seg_tetra_hit and oracle.tri_tri_hit, which the
+    # oracle's pair loop calls, and oracle.segment_tetra_direct and
+    # oracle.tri_tri_any, which the structure's zero-sign fallback calls; the
+    # problem table must reach all four through those names
     import random
 
-    from conftest import rnd_segment, rnd_tetra, rnd_triangle
+    from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
     from test_rangetree import _degenerate_scene
+
+    from tet4d.kernel4d import Triangle4
 
     oracle = _tet4d("oracle")
     rt = _tet4d("rangetree")
-    calls = {"seg_tetra_hit": 0, "tri_tri_hit": 0}
+    names = ("seg_tetra_hit", "tri_tri_hit", "segment_tetra_direct", "tri_tri_any")
+    calls = dict.fromkeys(names, 0)
     for name in calls:
         def counting(*args, _fn=getattr(oracle, name), _name=name):
             calls[_name] += 1
@@ -125,12 +129,24 @@ def test_kernel_pair_tests_are_looked_up_by_name(monkeypatch):
     blue = [rnd_triangle(rng, 5, 6) for _ in range(4)]
     oracle.seg_tetra_query(segs, tets, oracle.QueryMode.COUNT)
     oracle.tri_tri_query(red, blue, oracle.QueryMode.COUNT)
-    assert calls == {"seg_tetra_hit": 7 * 5, "tri_tri_hit": 6 * 4}
+    assert (calls["seg_tetra_hit"], calls["tri_tri_hit"]) == (7 * 5, 6 * 4)
 
+    # COUNT mode builds no witnesses, so every direct-solver call is a
+    # fallback; triangles on a small point pool share vertices and edges
+    pool = [rnd_point(rng, 3) for _ in range(7)]
+    tris = []
+    while len(tris) < 24:
+        try:
+            tris.append(Triangle4(*rng.sample(pool, 3)))
+        except ValueError:
+            continue
     tets, segs = _degenerate_scene(random.Random(0))
-    st = rt.build(tets, rt.SETUP_SEG_TETRA, rt.StorageBudget.from_sigma(len(tets), 2))
-    calls["seg_tetra_hit"] = 0
-    _rep, total, _per = rt.query_batch(st, segs, oracle.QueryMode.COUNT)
-    fallbacks = total.exact_predicate_calls - total.leaf_items_scanned
-    assert fallbacks > 0
-    assert calls["seg_tetra_hit"] == fallbacks
+    for setup, inputs, queries, direct in (
+            (rt.SETUP_SEG_TETRA, tets, segs, "segment_tetra_direct"),
+            (rt.SETUP_TRI_TRI, tris[:12], tris[12:], "tri_tri_any")):
+        st = rt.build(inputs, setup, rt.StorageBudget.from_sigma(len(inputs), 2))
+        calls[direct] = 0
+        _rep, total, _per = rt.query_batch(st, queries, oracle.QueryMode.COUNT)
+        fallbacks = total.exact_predicate_calls - total.leaf_items_scanned
+        assert fallbacks > 0, setup
+        assert calls[direct] == fallbacks, setup

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as hs
 
 from conftest import rnd_flat, rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d import rangetree as rt
@@ -20,6 +22,7 @@ from tet4d.kernel4d import (
 )
 from tet4d.oracle import (
     QueryMode,
+    brute_query,
     line_2flat_query,
     seg_tetra_query,
     tetra_seg_query,
@@ -486,10 +489,22 @@ def _endpoint_sides(tet, seg):
             sum(x * y for x, y in zip(n, seg.b)) - c)
 
 
+def _int_box(points):
+    """Integer coordinates' box as (lo, hi) corner tuples."""
+    cols = list(zip(*points))
+    return tuple(map(min, cols)), tuple(map(max, cols))
+
+
+def _int_boxes_meet(p, q):
+    (plo, phi), (qlo, qhi) = _int_box(p), _int_box(q)
+    return all(a <= d and c <= b for a, b, c, d in zip(plo, phi, qlo, qhi))
+
+
 @pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TETRA_SEG))
 def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
-    # at sigma = 2 every pair reaches a leaf once; only pairs whose endpoints
-    # are not strictly on one side of the hyperplane pay four dot products
+    # at sigma = 2 every pair whose boxes meet reaches a leaf once and is
+    # scanned; of those, only the pairs whose endpoints are not strictly on
+    # one side of the hyperplane pay four dot products
     rng = random.Random(7)
     tets = [rnd_tetra(rng, 8, 8) for _ in range(40)]
     segs = [rnd_segment(rng, 8, 8) for _ in range(30)]
@@ -500,9 +515,9 @@ def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
     facet_sign = rt._facet_sign
     monkeypatch.setattr(rt, "_facet_sign", lambda p, d: calls.append(1) or facet_sign(p, d))
     _rep, stats, _per = rt.query_batch(st, sq, QueryMode.COUNT)
-    assert stats.leaf_items_scanned == len(sin) * len(sq)
-    straddling = sum(sa * sb <= 0 for t in tets for e in segs
-                     for sa, sb in [_endpoint_sides(t, e)])
+    near = [(t, e) for t in tets for e in segs if _int_boxes_meet(t.vertices, (e.a, e.b))]
+    assert stats.leaf_items_scanned == len(near)
+    straddling = sum(sa * sb <= 0 for t, e in near for sa, sb in [_endpoint_sides(t, e)])
     assert 0 < straddling < len(sin) * len(sq)
     assert len(calls) == 4 * straddling
 
@@ -611,3 +626,129 @@ class TestDegenerateDirections:
         flats = [t.vertices for t in tris]
         lines = segs + [_flat_w_segment(rng, _centroid(rng.choice(flats))) for _ in range(6)]
         self._check(rt.SETUP_LINE_2FLAT, flats, lines, line_2flat_query)
+
+
+# ---------------------------------------------------------------------------
+# primal box pruning
+
+_COORD = hs.builds(F, hs.integers(-6, 6), hs.sampled_from((1, 1, 2, 3)))
+_POINT = hs.tuples(_COORD, _COORD, _COORD, _COORD).map(lambda c: Point4(*c))
+_STEP = hs.builds(F, hs.integers(1, 6), hs.sampled_from((1, 2, 3)))
+
+
+def _touching(draw, vertices, arity):
+    """A simplex of `arity` points that has one of `vertices` as a vertex
+    and otherwise lies strictly beyond it along one axis, on the far side
+    from the other vertices: the two meet only in that vertex, which lies on
+    a face or at a corner of both boxes."""
+    k = draw(hs.integers(0, 3))
+    sign = draw(hs.sampled_from((1, -1)))
+    v = (max if sign > 0 else min)(vertices, key=lambda p: p[k])
+    out = [v]
+    while len(out) < arity:
+        d = [draw(_COORD) for _ in range(4)]
+        d[k] = sign * draw(_STEP)
+        out.append(Point4(*(v[i] + d[i] for i in range(4))))
+    return out
+
+
+def _objects(draw, make, arity, pool, others, count):
+    """Up to `count` objects from `make`, each on `arity` points: distinct
+    points of the shared pool, or touching one of `others` in a vertex.
+    Point sets that `make` rejects as degenerate are skipped."""
+    out = []
+    for _ in range(count):
+        if others and draw(hs.booleans()):
+            pts = _touching(draw, draw(hs.sampled_from(others)).vertices, arity)
+        else:
+            pts = draw(hs.lists(hs.sampled_from(pool), min_size=arity, max_size=arity, unique=True))
+        try:
+            out.append(make(*pts))
+        except (ValueError, DegenerateTetrahedron):
+            pass
+    return out
+
+
+@hs.composite
+def _rational_scene(draw):
+    """(setup, inputs, queries) with rational coordinates on a small shared
+    point pool, so that objects share vertices, plus objects that touch
+    another only at an extreme vertex."""
+    setup = draw(hs.sampled_from(ALL_SETUPS))
+    pool = draw(hs.lists(_POINT, min_size=5, max_size=8, unique=True))
+    n, m = draw(hs.integers(1, 6)), draw(hs.integers(1, 5))
+    if setup == rt.SETUP_LINE_2FLAT:
+        inputs = [t.vertices for t in _objects(draw, Triangle4, 3, pool, [], n)]
+        queries = _objects(draw, Segment4, 2, pool, [], m)
+    elif setup == rt.SETUP_TRI_TRI:
+        inputs = _objects(draw, Triangle4, 3, pool, [], n)
+        queries = _objects(draw, Triangle4, 3, pool, inputs, m)
+    else:
+        tets = _objects(draw, Tetrahedron4, 4, pool, [], n)
+        segs = _objects(draw, Segment4, 2, pool, tets, m)
+        inputs, queries = (tets, segs) if setup == rt.SETUP_SEG_TETRA else (segs, tets)
+    assume(inputs and queries)
+    return setup, inputs, queries
+
+
+@settings(max_examples=40, deadline=None)
+@given(_rational_scene())
+def test_box_pruned_structure_equals_oracle(scene):
+    setup, inputs, queries = scene
+    for sigma in (1, 2, 6):
+        st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+        for mode in MODES:
+            rep, _stats, _per = rt.query_batch(st, queries, mode)
+            assert rep == brute_query(setup, queries, inputs, mode), (sigma, mode)
+
+
+def _shift_x(points, dx):
+    return [Point4(p.x + dx, p.y, p.z, p.w) for p in points]
+
+
+def _points_of(x):
+    return (x.a, x.b) if isinstance(x, Segment4) else x.vertices
+
+
+@pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TRI_TRI, rt.SETUP_TETRA_SEG))
+def test_boxes_prune_the_far_cluster(monkeypatch, setup):
+    # two clusters 100 apart along x; queries in the first one
+    rng = random.Random(3)
+    near, queries = _scene(rng, setup, 30, 20, 6, 6)
+    far = [type(x)(*_shift_x(_points_of(x), 100)) for x in _scene(rng, setup, 30, 0, 6, 6)[0]]
+    inputs = near + far
+    order = list(range(len(inputs)))
+    rng.shuffle(order)
+    inputs = [inputs[k] for k in order]
+    far_ids = {j for j, k in enumerate(order) if k >= len(near)}
+    oracle = brute_query(setup, queries, inputs, QueryMode.REPORT)
+    assert oracle.count > 0
+
+    scanned = set()
+    sigma_fn = rt._Setup.sigma
+    monkeypatch.setattr(rt._Setup, "sigma",
+                        lambda self, ctx, j: scanned.add(j) or sigma_fn(self, ctx, j))
+    visited = {}
+    for sigma in (2, 6):
+        st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+        rep, stats, _per = rt.query_batch(st, queries, QueryMode.REPORT)
+        assert rep == oracle, sigma
+        visited[sigma] = stats.nodes_visited
+    assert scanned and not scanned & far_ids
+
+    # the same descent with the query boxes dropped, as without box pruning
+    make_ctx = rt._Setup.make_ctx
+
+    def boxless(self, q):
+        ctx = make_ctx(self, q)
+        ctx.box = None
+        return ctx
+
+    monkeypatch.setattr(rt._Setup, "make_ctx", boxless)
+    scanned.clear()
+    for sigma in (2, 6):
+        st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+        rep, stats, _per = rt.query_batch(st, queries, QueryMode.REPORT)
+        assert rep == oracle, sigma
+    assert scanned & far_ids
+    assert visited[6] < stats.nodes_visited
