@@ -2,12 +2,16 @@
 
 For n tetrahedra in R^4 the module reports:
 
-* one witness vertex per intersecting pair (found by batched edge-vs-body
-  and 2-face-vs-2-face structure queries),
+* one witness vertex per intersecting pair, found by two joins of owned
+  objects in the structure (edges against tetrahedra, 2-faces against
+  2-faces).  No edge or face is tested against its own tetrahedron, and
+  only a pair's first hit solves for its witness,
 * the full convex intersection polygon of a pair,
 * triples with a common point and 4-wise intersection points, obtained by
-  reducing the neighbourhood of each tetrahedron to a 3D triangle scene in
-  a rational chart of its supporting hyperplane.
+  reducing each tetrahedron's larger-index neighbours to a 3D triangle
+  scene in a rational chart of its supporting hyperplane.  So each pair's
+  contact, each triple and each quadruple is computed once, in the chart
+  of its smallest member.
 
 An edge that lies in the other tetrahedron's hyperplane is clipped to that
 tetrahedron, and both clip ends are candidate polygon vertices.  A pair that
@@ -47,7 +51,7 @@ from .kernel4d import (
     tri_tri_any,
     tri_tri_direct,
 )
-from .oracle import QueryMode, _canon_point
+from .oracle import _canon_point
 
 
 @dataclass(frozen=True)
@@ -68,27 +72,24 @@ class IntersectionPolygon:
 
 
 def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
-    """One witness vertex per intersecting pair; the pair set equals the
-    oracle's k2 pair set."""
+    """One witness vertex per intersecting pair, in pair order; the pair set
+    equals the oracle's k2 pair set.
+
+    Two joins of owned objects (``rangetree._batched``): every edge against
+    the tetrahedra, then every 2-face against the 2-faces.  No object is
+    tested against its own tetrahedron, and a pair keeps the witness of its
+    first hit, edges before faces, which is the only one solved for."""
     from . import rangetree as rt
 
-    n = len(tetrahedra)
-    if n < 2:
-        return []
-    # (owner, object) lists: every edge queries the tetrahedra, and every
-    # 2-face queries the 2-faces
     tets = list(enumerate(tetrahedra))
     edges = [(i, Segment4(u, v)) for i, t in tets for (u, v) in tetra_edges(t)]
     faces = [(i, Triangle4(*f)) for i, t in tets for f in tetra_facets(t)]
     found: Dict[Tuple[int, int], PairWitness] = {}
     for setup, inputs, queries, kind in ((rt.SETUP_SEG_TETRA, tets, edges, "EDGE_TETRA"),
                                          (rt.SETUP_TRI_TRI, faces, faces, "FACE_FACE")):
-        rep, _ = rt._batched(setup, [x for _i, x in inputs], [q for _i, q in queries],
-                             QueryMode.REPORT)
-        for (qi, xj, w) in rep.pairs:
-            i, j = queries[qi][0], inputs[xj][0]
-            key = (min(i, j), max(i, j))
-            if i != j and key not in found:
+        witnesses, _ = rt._batched(setup, inputs, queries)
+        for key, w in witnesses.items():
+            if key not in found:
                 found[key] = PairWitness(key, _canon_point(w), kind)
     return [found[k] for k in sorted(found)]
 
@@ -420,27 +421,19 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
 def k_counts(tetrahedra: Sequence[Tetrahedron4]):
     """(k2, k3, k4) by the reduction pipeline; equals the oracle counts."""
     witnesses = pairwise(tetrahedra)
-    adj: Dict[int, List[int]] = {}
+    # each tetrahedron is reduced against its larger neighbours only, so
+    # every contact, triple and quadruple is computed once, in the chart of
+    # its smallest member
+    later: Dict[int, List[int]] = {}
     for w in witnesses:
         i, j = w.pair
-        adj.setdefault(i, []).append(j)
-        adj.setdefault(j, []).append(i)
-    triples = {}
-    endpoints = {}
-    quads = {}
-    for i in sorted(adj):
-        nbrs = [(j, tetrahedra[j]) for j in sorted(adj[i])]
-        tr, qu = per_tetra_reduction(tetrahedra[i], nbrs, i)
-        for key, (wit, ends) in tr.items():
-            if key not in triples:
-                triples[key] = wit
-                endpoints[key] = ends
-        for key, pt in qu.items():
-            quads.setdefault(key, pt)
+        later.setdefault(i, []).append(j)
+    k3 = 0
     vert_keys = set()
-    for pt in quads.values():
-        vert_keys.add(tuple(pt))
-    for ends in endpoints.values():
-        for p in ends:
-            vert_keys.add(tuple(p))
-    return len(witnesses), len(triples), len(vert_keys)
+    for i, nbrs in later.items():
+        triples, quads = per_tetra_reduction(tetrahedra[i], [(j, tetrahedra[j]) for j in nbrs], i)
+        k3 += len(triples)
+        for _wit, ends in triples.values():
+            vert_keys.update(map(tuple, ends))
+        vert_keys.update(map(tuple, quads.values()))
+    return len(witnesses), k3, len(vert_keys)

@@ -531,9 +531,9 @@ class _DetectHit(Exception):
 class _Run:
     """Mutable state of one query evaluation."""
 
-    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "audit", "detect")
+    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "audit", "detect", "skip")
 
-    def __init__(self, struct, ctx, mode, audit=None):
+    def __init__(self, struct, ctx, mode, audit=None, skip=None):
         self.struct = struct
         self.ctx = ctx
         self.mode = mode
@@ -542,18 +542,21 @@ class _Run:
         self.witnesses = {}       # object -> the point its fallback found
         self.audit = audit
         self.detect = mode == QueryMode.DETECT
+        self.skip = skip          # objects never to report: the query owner's own
 
 
 def _leaf_match(run: _Run, items, passes):
-    """Resolve leaf items exactly for the given passes.  Items whose box
-    misses the query's are dropped first.  A sign tuple shorter than the
-    level list is a miss: sigma stopped early because no pass can match.
-    A zero sign is settled by the problem's witness, which is kept for the
-    report."""
+    """Resolve leaf items exactly for the given passes.  Items to skip and
+    items whose box misses the query's are dropped first.  A sign tuple
+    shorter than the level list is a miss: sigma stopped early because no
+    pass can match.  A zero sign is settled by the problem's witness, which
+    is kept for the report."""
     setup = run.struct.setup
     ctx = run.ctx
     stats = run.stats
     qbox = ctx.box
+    if run.skip:
+        items = [j for j in items if j not in run.skip]
     if qbox is not None:
         boxes = setup.boxes
         items = [j for j in items if _meets(qbox, boxes[j])]
@@ -599,10 +602,11 @@ def _record(run: _Run, j: int):
 
 
 def _absorb(run: _Run, items):
+    if run.skip:
+        items = [j for j in items if j not in run.skip]
     if run.audit is not None:
         run.audit.setdefault("canonical", []).append(tuple(items))
-    for j in items:
-        run.hits.append(j)
+    run.hits.extend(items)
     if run.detect and items:
         raise _DetectHit()
 
@@ -642,6 +646,16 @@ def _visit(run: _Run, tree: _Tree, node: CanonicalNode, passes):
                 _visit(run, tree, ch, tuple(crossing))
 
 
+def _descend(run: _Run) -> _Run:
+    """One shared descent of the structure for every pass; returns run."""
+    root = run.struct.root_tree
+    try:
+        _visit(run, root, root.root, run.struct.setup.passes)
+    except _DetectHit:
+        pass
+    return run
+
+
 def query(structure: MultiLevelStructure, query_object, mode: QueryMode,
           audit=None) -> Tuple[IntersectionReport, QueryStats]:
     """Exact query; the report is identical to the oracle's for this single
@@ -650,11 +664,7 @@ def query(structure: MultiLevelStructure, query_object, mode: QueryMode,
         return IntersectionReport(False, 0, []), QueryStats()
     setup = structure.setup
     ctx = setup.make_ctx(query_object)
-    run = _Run(structure, ctx, mode, audit)
-    try:
-        _visit(run, structure.root_tree, structure.root_tree.root, setup.passes)
-    except _DetectHit:
-        pass
+    run = _descend(_Run(structure, ctx, mode, audit))
     known = run.witnesses
     rep = _assemble(mode, [(0, j) for j in sorted(run.hits)],
                     lambda _i, j: known[j] if j in known else setup.witness(ctx, j))
@@ -701,12 +711,36 @@ def batched_storage_parameter(m: int, n: int) -> int:
     return max(n, min(n ** 6, raw))
 
 
-def _batched(setup, inputs, queries, mode):
-    """One structure on the inputs with s = batched_storage_parameter(m, n),
-    queried by every query; returns (report, aggregated QueryStats)."""
+def _batched(setup, inputs, queries):
+    """The bichromatic join of owned objects: one structure on the inputs
+    with s = batched_storage_parameter(m, n), descended once per query.
+
+    inputs and queries are sequences of (owner, object).  A query never
+    tests an input of its own owner: those items are dropped at the leaves
+    and from absorbed canonical sets, before any sign is taken.  Returns
+    (witnesses, aggregated QueryStats), where witnesses maps each unordered
+    owner pair (a, b), a < b, that some query hits to one witness: that of
+    the first hit in (query index, input index) order.  Only that hit
+    solves for its witness, and a point its zero-sign fallback found is
+    reused."""
     m, n = len(queries), len(inputs)
+    witnesses = {}
+    total = QueryStats()
     if n == 0 or m == 0:
-        return IntersectionReport(False, 0, []), QueryStats()
-    st = build(inputs, setup, StorageBudget(n, batched_storage_parameter(m, n)))
-    rep, total, _per = query_batch(st, queries, mode)
-    return rep, total
+        return witnesses, total
+    st = build([x for _o, x in inputs], setup, StorageBudget(n, batched_storage_parameter(m, n)))
+    s = st.setup
+    own = {}
+    for j, (o, _x) in enumerate(inputs):
+        own.setdefault(o, set()).add(j)
+    for qo, q in queries:
+        ctx = s.make_ctx(q)
+        run = _descend(_Run(st, ctx, QueryMode.REPORT, skip=own.get(qo)))
+        total.add(run.stats)
+        for j in sorted(run.hits):
+            xo = inputs[j][0]
+            key = (qo, xo) if qo < xo else (xo, qo)
+            if key not in witnesses:
+                w = run.witnesses.get(j)
+                witnesses[key] = s.witness(ctx, j) if w is None else w
+    return witnesses, total

@@ -324,6 +324,43 @@ def simplex_meet_vertices(simplices):
 
 
 # ---------------------------------------------------------------------------
+# arrangement witnesses by plain structure queries: the reference that
+# arrangement.pairwise's owned joins are checked against.  It runs the
+# package's structure, with none of the joins' owner skip or first-hit
+# witness.
+
+
+def pairwise_reference(tetrahedra):
+    """One PairWitness per intersecting pair: every edge queries the
+    tetrahedra and every 2-face the 2-faces, each by one structure and a
+    REPORT query_batch; hits of an object on its own tetrahedron are
+    dropped, and each pair keeps its first hit, edges before faces."""
+    from tet4d import rangetree as rt
+    from tet4d.arrangement import PairWitness
+    from tet4d.kernel4d import tetra_edges, tetra_facets
+    from tet4d.oracle import QueryMode, _canon_point
+
+    tets = list(enumerate(tetrahedra))
+    edges = [(i, Segment4(u, v)) for i, t in tets for (u, v) in tetra_edges(t)]
+    faces = [(i, Triangle4(*f)) for i, t in tets for f in tetra_facets(t)]
+    found = {}
+    for setup, inputs, queries, kind in ((rt.SETUP_SEG_TETRA, tets, edges, "EDGE_TETRA"),
+                                         (rt.SETUP_TRI_TRI, faces, faces, "FACE_FACE")):
+        if not inputs:
+            continue
+        n, m = len(inputs), len(queries)
+        st = rt.build([x for _o, x in inputs], setup,
+                      rt.StorageBudget(n, rt.batched_storage_parameter(m, n)))
+        rep, _total, _per = rt.query_batch(st, [q for _o, q in queries], QueryMode.REPORT)
+        for (qi, xj, w) in rep.pairs:
+            i, j = queries[qi][0], inputs[xj][0]
+            key = (min(i, j), max(i, j))
+            if i != j and key not in found:
+                found[key] = PairWitness(key, _canon_point(w), kind)
+    return [found[k] for k in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
 # continuous collision detection by the paper's lifting: the reference that
 # tet4d.ccd's swept separating-axis test is checked against.  It shares the
 # 4D kernel predicates with the package, but nothing of the CCD pair test.

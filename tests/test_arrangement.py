@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_k_subsets, simplex_meet_vertices
+from _oracles import brute_k_subsets, pairwise_reference, simplex_meet_vertices
 from conftest import cluster_tetra, rnd_tetra
+from tet4d import arrangement, oracle
+from tet4d import rangetree as rt
 from tet4d.arrangement import (
     intersection_polygon,
     k_counts,
@@ -56,6 +59,108 @@ class TestPairwise:
             i, j = w.pair
             assert pres[i].contains(w.vertex) and pres[j].contains(w.vertex)
             assert w.kind in ("EDGE_TETRA", "FACE_FACE")
+
+
+_LATTICE = list(itertools.product(range(-3, 4), repeat=4))
+
+
+def _lattice_scene(rng):
+    """3 to 5 tetrahedra on 8 points of the lattice [-3, 3]^4: they share
+    vertices, edges and faces, and often lie in one hyperplane."""
+    pool = rng.sample(_LATTICE, 8)
+    tets = []
+    for _ in range(rng.randint(3, 5)):
+        try:
+            tets.append(_tet(*rng.sample(pool, 4)))
+        except DegenerateTetrahedron:
+            pass
+    return tets
+
+
+def _seeded_scenes():
+    """Four seeded cluster scenes, then 40 seeded lattice scenes."""
+    rng = random.Random(0x5EED)
+    scenes = [_touching_clusters()]
+    for _ in range(3):
+        core = tuple(rng.randint(-4, 4) for _ in range(4))
+        scenes.append(cluster_tetra(rng, core, rng.randint(6, 9)) + [rnd_tetra(rng, 5, 8)])
+    return scenes + [_lattice_scene(rng) for _ in range(40)]
+
+
+def _typed(witnesses):
+    """PairWitness fields with int and Fraction coordinates told apart."""
+    return [(w.pair, tuple((type(c), c) for c in w.vertex), w.kind) for w in witnesses]
+
+
+class TestSharedWork:
+    """Each exact object of the arrangement is computed once: the joins in
+    pairwise test no object against its own tetrahedron and solve one
+    witness per first hit, and k_counts builds each pair's contact once."""
+
+    def test_pairwise_equals_reference(self):
+        for tets in _seeded_scenes():
+            assert _typed(pairwise(tets)) == _typed(pairwise_reference(tets))
+
+    def test_k_counts_equal_oracle(self):
+        defined = 0
+        for tets in _seeded_scenes():
+            try:
+                expected = arrangement_k_counts(tets).counts()
+            except GeometryError:
+                continue  # dependent hyperplanes: the counts are not defined
+            defined += 1
+            assert k_counts(tets) == expected
+        assert defined > 30
+
+    def test_witness_solves(self, monkeypatch):
+        owners = {}
+        solves = []     # the owners of the two objects of each direct solve
+        joins = []      # (solves made, result) per join
+        real_batched = rt._batched
+
+        def batched(setup, inputs, queries):
+            owners.clear()
+            owners.update((id(x), o) for o, x in (*inputs, *queries))
+            before = len(solves)
+            out = real_batched(setup, inputs, queries)
+            joins.append((len(solves) - before, out))
+            return out
+
+        def counted(real):
+            def solve(a, b, *rest):
+                solves.append((owners[id(a)], owners[id(b)]))
+                return real(a, b, *rest)
+            return solve
+
+        monkeypatch.setattr(rt, "_batched", batched)
+        monkeypatch.setattr(oracle, "segment_tetra_direct", counted(oracle.segment_tetra_direct))
+        monkeypatch.setattr(oracle, "tri_tri_any", counted(oracle.tri_tri_any))
+        fallbacks = 0
+        for tets in _seeded_scenes():
+            pairwise(tets)
+        assert joins and solves
+        assert all(a != b for a, b in solves)
+        for made, (witnesses, stats) in joins:
+            fallback = stats.exact_predicate_calls - stats.leaf_items_scanned
+            fallbacks += fallback
+            assert made <= len(witnesses) + fallback
+        assert fallbacks > 0
+
+    def test_one_contact_per_pair(self, monkeypatch):
+        contacts = []
+        real_contact = arrangement._contact
+
+        def contact(ti, tj, *rest):
+            contacts.append((ti, tj))
+            return real_contact(ti, tj, *rest)
+
+        monkeypatch.setattr(arrangement, "_contact", contact)
+        for tets in _seeded_scenes()[:4]:
+            contacts.clear()
+            k2, k3, _k4 = k_counts(tets)
+            index = {id(t): i for i, t in enumerate(tets)}
+            pairs = sorted(tuple(sorted((index[id(a)], index[id(b)]))) for a, b in contacts)
+            assert k3 > 0 and pairs == [w.pair for w in pairwise(tets)] and len(pairs) == k2
 
 
 class TestIntersectionPolygon:

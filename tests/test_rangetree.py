@@ -354,20 +354,40 @@ class TestBatched:
     def test_batched_tri_tri_single_pair(self):
         from test_kernel4d import SPEC_T1, SPEC_T2
 
-        rep, _stats = rt._batched(rt.SETUP_TRI_TRI, [SPEC_T2], [SPEC_T1], QueryMode.REPORT)
-        assert rep.count == 1
+        got, _stats = rt._batched(rt.SETUP_TRI_TRI, [(1, SPEC_T2)], [(0, SPEC_T1)])
+        expected = _owner_pairs(tri_tri_query([SPEC_T1], [SPEC_T2], QueryMode.REPORT), 1)
+        assert _typed(got) == _typed(expected)
+        assert list(got) == [(0, 1)]
 
     def test_batched_tri_tri_matches_oracle(self, rng):
         red = [rnd_triangle(rng, 6, 7) for _ in range(40)]
         blue = [rnd_triangle(rng, 6, 7) for _ in range(40)]
-        rep, _stats = rt._batched(rt.SETUP_TRI_TRI, blue, red, QueryMode.REPORT)
-        assert rep == tri_tri_query(red, blue, QueryMode.REPORT)
+        got, _stats = rt._batched(rt.SETUP_TRI_TRI, _owned(blue, 40), _owned(red, 0))
+        expected = _owner_pairs(tri_tri_query(red, blue, QueryMode.REPORT), 40)
+        assert expected and _typed(got) == _typed(expected)
 
     def test_batched_seg_tetra_matches_oracle(self, rng):
         segs = [rnd_segment(rng, 6, 7) for _ in range(30)]
         tets = [rnd_tetra(rng, 6, 7) for _ in range(30)]
-        rep, _stats = rt._batched(rt.SETUP_SEG_TETRA, tets, segs, QueryMode.COUNT)
-        assert rep.count == seg_tetra_query(segs, tets, QueryMode.COUNT).count
+        got, _stats = rt._batched(rt.SETUP_SEG_TETRA, _owned(tets, 30), _owned(segs, 0))
+        expected = _owner_pairs(seg_tetra_query(segs, tets, QueryMode.REPORT), 30)
+        assert expected and _typed(got) == _typed(expected)
+
+
+def _owned(objects, first):
+    return [(first + k, x) for k, x in enumerate(objects)]
+
+
+def _owner_pairs(rep, m):
+    """The oracle's REPORT pairs as a join's witnesses, with the queries
+    owned by 0..m-1 and the inputs by m..: then every hit is its own owner
+    pair."""
+    return {(i, m + j): w for (i, j, w) in rep.pairs}
+
+
+def _typed(witnesses):
+    """Witnesses with int and Fraction coordinates told apart."""
+    return {k: tuple((type(c), c) for c in w) for k, w in witnesses.items()}
 
 
 class TestStatsMonotonicity:
