@@ -77,8 +77,9 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
 
     Two joins of owned objects (``rangetree._batched``): every edge against
     the tetrahedra, then every 2-face against the 2-faces.  No object is
-    tested against its own tetrahedron, and a pair keeps the witness of its
-    first hit, edges before faces, which is the only one solved for."""
+    tested against its own tetrahedron, nor against one already paired with
+    it, by the edge join or by an earlier query; a pair keeps the witness of
+    its first hit, edges before faces, which is the only one solved for."""
     from . import rangetree as rt
 
     tets = list(enumerate(tetrahedra))
@@ -87,10 +88,9 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
     found: Dict[Tuple[int, int], PairWitness] = {}
     for setup, inputs, queries, kind in ((rt.SETUP_SEG_TETRA, tets, edges, "EDGE_TETRA"),
                                          (rt.SETUP_TRI_TRI, faces, faces, "FACE_FACE")):
-        witnesses, _ = rt._batched(setup, inputs, queries)
+        witnesses, _ = rt._batched(setup, inputs, queries, paired=tuple(found))
         for key, w in witnesses.items():
-            if key not in found:
-                found[key] = PairWitness(key, _canon_point(w), kind)
+            found[key] = PairWitness(key, _canon_point(w), kind)
     return [found[k] for k in sorted(found)]
 
 

@@ -130,6 +130,7 @@ def run_query(setup_key: str, inputs, queries, mode: QueryMode, sigma, engine: s
     if engine in ("structure", "both"):
         budget = StorageBudget.from_sigma(n, sigma) if n else StorageBudget(0, 1)
         payload["s"] = budget.s
+        # the paper's cutoff; the trees' leaves hold up to max(it, rt.LEAF_MIN)
         payload["leafCutoff"] = budget.leaf_cutoff if n else 0
         structure = rt.build(inputs, problem, budget)
         t0 = time.perf_counter()

@@ -24,8 +24,16 @@ group by group, and stops after a group whose signs are all nonzero and
 match no pass; for the segment-tetrahedron setups that is the endpoint
 pair.  Zero signs go to a direct-solver fallback.  No parametrization is
 involved, so no input direction is special and no shear is needed.
-Results are exactly equal to the brute-force oracle on every input; the
-storage parameter s only controls the leaf cutoff ceil(n^{6/5} / s^{1/5}).
+Results are exactly equal to the brute-force oracle on every input.
+
+Leaf buckets.  A node is a leaf when it holds at most
+max(leaf_cutoff, LEAF_MIN) items, where leaf_cutoff = ceil(n^{6/5} / s^{1/5})
+is the paper's rule for storage parameter s and LEAF_MIN is a constant
+below which exact signs are cheaper than descent (the leaf bucket of
+partition trees, Matousek 1992; any constant keeps the O*() bounds).  A
+leaf never gets a next-level tree: at every level but the last, the passes
+it is INSIDE for are resolved at the leaf, together with the CROSSING ones,
+by the same sign test.  So s only chooses between cutoffs above LEAF_MIN.
 
 A query runs one shared descent for the four sign-pattern passes (two
 choices for the endpoint side pattern x two for the orientation pattern);
@@ -54,6 +62,7 @@ setup has no boxes and prunes by its zero-set level alone.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
@@ -82,6 +91,13 @@ from .oracle import (
 INSIDE = "INSIDE"
 OUTSIDE = "OUTSIDE"
 CROSSING = "CROSSING"
+
+# The smallest leaf bucket: a level tree does not split a node of at most
+# this many items, and its leaves are resolved by exact signs.  Chosen by a
+# sweep of 8, 16, 32 and 64 over setups (ii), (iii) and line-2-flat (see
+# CHANGES.md); it stays below 83, the sigma = 2 cutoff at n = 250, so that
+# tree keeps its shape.
+LEAF_MIN = 64
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +145,8 @@ class StorageBudget:
     @property
     def leaf_cutoff(self) -> int:
         """ceil(n^{6/5} / s^{1/5}), clamped to [1, n]: smallest k with
-        k^5 * s >= n^6."""
+        k^5 * s >= n^6.  This is the paper's rule; a level tree's leaves
+        hold up to max(leaf_cutoff, LEAF_MIN) items."""
         if self.n <= 1:
             return 1
         target = self.n ** 6
@@ -148,9 +165,12 @@ class QueryStats:
     nodes_visited: level-tree nodes the descent entered, including those
         whose box misses the query's box and are left at once.
     canonical_sets_touched: INSIDE classifications, one per pass, each
-        forwarding a node's item set to the next level or into the report.
+        forwarding an internal node's item set to the next level, or a
+        last-level node's into the report.
     leaf_items_scanned: leaf items whose box meets the query's box, each of
-        which has its level signs taken (``_Setup.sigma``).
+        which has its level signs taken (``_Setup.sigma``).  A leaf counts
+        its items once per visit, whether the visit's passes found it
+        CROSSING or, at a level before the last, INSIDE.
     exact_predicate_calls: those sign evaluations plus the zero-sign
         fallbacks to the problem's direct solver, so that
         exact_predicate_calls - leaf_items_scanned is the fallback count.
@@ -238,7 +258,11 @@ class CanonicalNode:
     """One node of a level tree: a bounding box of its items' level vectors,
     the union of their primal boxes (None in the unbounded setup), the
     canonical item set of its subtree, children for CROSSING descent, and
-    (lazily) the next-level structure built on exactly its item set."""
+    (lazily) the next-level structure built on exactly its item set.
+
+    A leaf holds at most max(leaf_cutoff, LEAF_MIN) items, unless their
+    level vectors are all equal, and never gets a next-level structure:
+    its items are resolved by exact signs."""
 
     __slots__ = ("items", "box_lo", "box_hi", "aabb", "children", "is_leaf", "_next")
 
@@ -270,7 +294,7 @@ class _Tree:
         hi = tuple(map(max, cols))
         owner.built_nodes += 1
         axis = None
-        if len(items) > owner.budget.leaf_cutoff:
+        if len(items) > max(owner.budget.leaf_cutoff, LEAF_MIN):
             for probe in range(dim):
                 d = (depth + probe) % dim
                 if lo[d] != hi[d]:
@@ -542,7 +566,7 @@ class _Run:
         self.witnesses = {}       # object -> the point its fallback found
         self.audit = audit
         self.detect = mode == QueryMode.DETECT
-        self.skip = skip          # objects never to report: the query owner's own
+        self.skip = skip          # objects never to test: the query owner's, and paired owners'
 
 
 def _leaf_match(run: _Run, items, passes):
@@ -631,6 +655,13 @@ def _visit(run: _Run, tree: _Tree, node: CanonicalNode, passes):
             inside_by_target.setdefault(tt, []).append(p)
         elif cls == CROSSING:
             crossing.append(p)
+    if node.is_leaf and not last:
+        # a leaf bucket: every pass not left here is settled by exact signs,
+        # which also check this level and the ones below it
+        live = [p for plist in inside_by_target.values() for p in plist] + crossing
+        if live:
+            _leaf_match(run, node.items, tuple(live))
+        return
     for plist in inside_by_target.values():
         run.stats.canonical_sets_touched += len(plist)
         if last:
@@ -711,18 +742,20 @@ def batched_storage_parameter(m: int, n: int) -> int:
     return max(n, min(n ** 6, raw))
 
 
-def _batched(setup, inputs, queries):
+def _batched(setup, inputs, queries, paired=()):
     """The bichromatic join of owned objects: one structure on the inputs
     with s = batched_storage_parameter(m, n), descended once per query.
 
-    inputs and queries are sequences of (owner, object).  A query never
-    tests an input of its own owner: those items are dropped at the leaves
-    and from absorbed canonical sets, before any sign is taken.  Returns
-    (witnesses, aggregated QueryStats), where witnesses maps each unordered
-    owner pair (a, b), a < b, that some query hits to one witness: that of
-    the first hit in (query index, input index) order.  Only that hit
-    solves for its witness, and a point its zero-sign fallback found is
-    reused."""
+    inputs and queries are sequences of (owner, object), and paired holds
+    owner pairs (a, b), a < b, already witnessed elsewhere.  A query never
+    tests an input of its own owner, nor one of an owner it is already
+    paired with, by ``paired`` or by an earlier query's hit: those items are
+    dropped at the leaves and from absorbed canonical sets, before any sign
+    is taken.  Returns (witnesses, aggregated QueryStats), where witnesses
+    maps each unordered owner pair (a, b), a < b, not in paired that some
+    query hits to one witness: that of the first hit in (query index, input
+    index) order.  Only that hit solves for its witness, and a point its
+    zero-sign fallback found is reused."""
     m, n = len(queries), len(inputs)
     witnesses = {}
     total = QueryStats()
@@ -730,12 +763,20 @@ def _batched(setup, inputs, queries):
         return witnesses, total
     st = build([x for _o, x in inputs], setup, StorageBudget(n, batched_storage_parameter(m, n)))
     s = st.setup
-    own = {}
+    own = defaultdict(set)
     for j, (o, _x) in enumerate(inputs):
-        own.setdefault(o, set()).add(j)
+        own[o].add(j)
+    skip = defaultdict(set, {o: set(js) for o, js in own.items()})  # owner -> inputs never tested
+
+    def pair(a, b):
+        skip[a] |= own[b]
+        skip[b] |= own[a]
+
+    for a, b in paired:
+        pair(a, b)
     for qo, q in queries:
         ctx = s.make_ctx(q)
-        run = _descend(_Run(st, ctx, QueryMode.REPORT, skip=own.get(qo)))
+        run = _descend(_Run(st, ctx, QueryMode.REPORT, skip=skip[qo]))
         total.add(run.stats)
         for j in sorted(run.hits):
             xo = inputs[j][0]
@@ -743,4 +784,5 @@ def _batched(setup, inputs, queries):
             if key not in witnesses:
                 w = run.witnesses.get(j)
                 witnesses[key] = s.witness(ctx, j) if w is None else w
+                pair(qo, xo)
     return witnesses, total

@@ -115,15 +115,15 @@ class TestSharedWork:
     def test_witness_solves(self, monkeypatch):
         owners = {}
         solves = []     # the owners of the two objects of each direct solve
-        joins = []      # (solves made, result) per join
+        joins = []      # (solves made, pairs given as paired, result) per join
         real_batched = rt._batched
 
-        def batched(setup, inputs, queries):
+        def batched(setup, inputs, queries, paired=()):
             owners.clear()
             owners.update((id(x), o) for o, x in (*inputs, *queries))
             before = len(solves)
-            out = real_batched(setup, inputs, queries)
-            joins.append((len(solves) - before, out))
+            out = real_batched(setup, inputs, queries, paired=paired)
+            joins.append((solves[before:], set(paired), out))
             return out
 
         def counted(real):
@@ -140,11 +140,15 @@ class TestSharedWork:
             pairwise(tets)
         assert joins and solves
         assert all(a != b for a, b in solves)
-        for made, (witnesses, stats) in joins:
+        for made, paired, (witnesses, stats) in joins:
             fallback = stats.exact_predicate_calls - stats.leaf_items_scanned
             fallbacks += fallback
-            assert made <= len(witnesses) + fallback
+            assert len(made) <= len(witnesses) + fallback
+            # no solve for a pair that the edge join already witnessed
+            assert not {(min(a, b), max(a, b)) for a, b in made} & paired
+            assert not paired & set(witnesses)
         assert fallbacks > 0
+        assert any(paired for _made, paired, _out in joins)
 
     def test_one_contact_per_pair(self, monkeypatch):
         contacts = []

@@ -147,7 +147,9 @@ class TestOracleEquivalence:
         assert st.root_tree.root.is_leaf
         assert st.root_tree.root.items == (0,)
 
-    def test_s_extremes_identical_reports(self, rng):
+    def test_s_extremes_identical_reports(self, rng, monkeypatch):
+        # the paper's bare leaf rule, so that s changes the tree's shape
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         tets, segs, _ = rt.prepare_scene(
             rt.SETUP_SEG_TETRA,
             [rnd_tetra(rng, 6, 7) for _ in range(25)],
@@ -162,7 +164,9 @@ class TestOracleEquivalence:
 
 
 class TestCanonicalSets:
-    def test_disjoint_union_per_query(self, rng):
+    def test_disjoint_union_per_query(self, rng, monkeypatch):
+        # the paper's bare leaf rule, so that the tree splits these few items
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         tets, segs, _ = rt.prepare_scene(
             rt.SETUP_SEG_TETRA,
             [rnd_tetra(rng, 6, 8) for _ in range(30)],
@@ -183,7 +187,9 @@ class TestCanonicalSets:
             resolved = audit.get("resolved", [])
             assert sorted(absorbed + resolved) == sorted(got)
 
-    def test_leaf_bound_respected(self, rng):
+    def test_leaf_bound_respected(self, rng, monkeypatch):
+        # the paper's bare leaf rule: leaves of at most leaf_cutoff items
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         tets, _, _ = rt.prepare_scene(
             rt.SETUP_SEG_TETRA, [rnd_tetra(rng, 6, 8) for _ in range(40)], [])
         budget = StorageBudget.from_sigma(40, 2)
@@ -203,7 +209,9 @@ class TestCanonicalSets:
 
 
 class TestDeterminism:
-    def test_same_build_same_fingerprint(self, rng):
+    def test_same_build_same_fingerprint(self, rng, monkeypatch):
+        # the paper's bare leaf rule, so that the tree splits these few items
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         tets, segs, _ = rt.prepare_scene(
             rt.SETUP_SEG_TETRA,
             [rnd_tetra(rng, 6, 7) for _ in range(20)],
@@ -307,10 +315,12 @@ class TestClassifyBox:
                             assert rt._classify(lo, hi, target) == CROSSING
             assert mixed > 0, setup
 
-    def test_conservative_on_random_boxes(self, rng):
+    def test_conservative_on_random_boxes(self, rng, monkeypatch):
         # INSIDE and OUTSIDE nodes agree with the form's sign at every corner
         # and at random interior points, integer and rational; the range ends
-        # are the values at the extreme corners
+        # are the values at the extreme corners.  The paper's bare leaf rule
+        # splits these small scenes down to single items.
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         checked = 0
         for setup in ALL_SETUPS:
             inputs, queries = _scene(rng, setup, 12, 3)
@@ -391,7 +401,9 @@ def _typed(witnesses):
 
 
 class TestStatsMonotonicity:
-    def test_leaf_items_non_increasing_in_s(self, rng):
+    def test_leaf_items_non_increasing_in_s(self, rng, monkeypatch):
+        # the paper's bare leaf rule, so that the tree splits these few items
+        monkeypatch.setattr(rt, "LEAF_MIN", 1)
         tets, segs, _ = rt.prepare_scene(
             rt.SETUP_SEG_TETRA,
             [rnd_tetra(rng, 6, 7) for _ in range(40)],
@@ -453,29 +465,37 @@ def _degenerate_scene(rng, n_tets=10, n_segs=36):
     return tets, segs
 
 
+# sigma 1, 2 and 6 at the real leaf bucket, which holds these small scenes
+# in one leaf, and at the paper's bare rule, whose sigma = 6 trees forward
+# canonical sets down to single items
+_LEAF_RULES = tuple((leaf_min, sigma) for leaf_min in (rt.LEAF_MIN, 1) for sigma in (1, 2, 6))
+
+
 class TestDegenerateLeaves:
     """Structure == oracle on scenes full of zero signs; the oracle evaluates
     orient5 directly, the structure through Plücker/dual dot products."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_setup_i(self, seed):
+    def test_setup_i(self, seed, monkeypatch):
         tets, segs = _degenerate_scene(random.Random(seed))
         sin, sq, _salt = rt.prepare_scene(rt.SETUP_SEG_TETRA, tets, segs)
-        for sigma in (1, 2, 6):
+        for leaf_min, sigma in _LEAF_RULES:
+            monkeypatch.setattr(rt, "LEAF_MIN", leaf_min)
             st = rt.build(sin, rt.SETUP_SEG_TETRA, StorageBudget.from_sigma(len(sin), sigma))
             for mode in MODES:
                 rep, _stats, _per = rt.query_batch(st, sq, mode)
-                assert rep == seg_tetra_query(sq, sin, mode), (seed, sigma, mode)
+                assert rep == seg_tetra_query(sq, sin, mode), (seed, leaf_min, sigma, mode)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_setup_iii(self, seed):
+    def test_setup_iii(self, seed, monkeypatch):
         tets, segs = _degenerate_scene(random.Random(100 + seed))
         sin, sq, _salt = rt.prepare_scene(rt.SETUP_TETRA_SEG, segs, tets)
-        for sigma in (1, 2, 6):
+        for leaf_min, sigma in _LEAF_RULES:
+            monkeypatch.setattr(rt, "LEAF_MIN", leaf_min)
             st = rt.build(sin, rt.SETUP_TETRA_SEG, StorageBudget.from_sigma(len(sin), sigma))
             for mode in MODES:
                 rep, _stats, _per = rt.query_batch(st, sq, mode)
-                assert rep == tetra_seg_query(sq, sin, mode), (seed, sigma, mode)
+                assert rep == tetra_seg_query(sq, sin, mode), (seed, leaf_min, sigma, mode)
 
     def test_scene_has_the_degenerate_layouts(self):
         tets, segs = _degenerate_scene(random.Random(0))
@@ -604,29 +624,30 @@ class TestDegenerateDirections:
     """Structure == oracle, in every mode, on the layouts that used to need
     a shear; the scenes are built directly, with no preparation step."""
 
-    def _check(self, setup, inputs, queries, oracle_fn):
+    def _check(self, monkeypatch, setup, inputs, queries, oracle_fn):
         assert rt.prepare_scene(setup, inputs, queries) == (inputs, queries, 0)
         hits = 0
-        for sigma in (1, 2, 6):
+        for leaf_min, sigma in _LEAF_RULES:
+            monkeypatch.setattr(rt, "LEAF_MIN", leaf_min)
             st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
             for mode in MODES:
                 rep, _stats, _per = rt.query_batch(st, queries, mode)
-                assert rep == oracle_fn(queries, inputs, mode), (setup, sigma, mode)
+                assert rep == oracle_fn(queries, inputs, mode), (setup, leaf_min, sigma, mode)
                 hits = max(hits, rep.count)
         assert hits > 0
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_setup_i_flat_w_queries(self, seed):
+    def test_setup_i_flat_w_queries(self, seed, monkeypatch):
         tets, _tris, segs = _direction_scene(random.Random(seed))
-        self._check(rt.SETUP_SEG_TETRA, tets, segs, seg_tetra_query)
+        self._check(monkeypatch, rt.SETUP_SEG_TETRA, tets, segs, seg_tetra_query)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_setup_iii_flat_w_inputs(self, seed):
+    def test_setup_iii_flat_w_inputs(self, seed, monkeypatch):
         tets, _tris, segs = _direction_scene(random.Random(10 + seed))
-        self._check(rt.SETUP_TETRA_SEG, segs, tets, tetra_seg_query)
+        self._check(monkeypatch, rt.SETUP_TETRA_SEG, segs, tets, tetra_seg_query)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_setup_ii_xy_degenerate_planes(self, seed):
+    def test_setup_ii_xy_degenerate_planes(self, seed, monkeypatch):
         rng = random.Random(20 + seed)
         _tets, blue, _segs = _direction_scene(rng)
         red = [_xy_triangle(rng, k % 2) for k in range(8)]
@@ -637,15 +658,15 @@ class TestDegenerateDirections:
                 red.append(Triangle4(g, rnd_point(rng, 3), rnd_point(rng, 3)))
             except ValueError:
                 continue
-        self._check(rt.SETUP_TRI_TRI, blue, red, tri_tri_query)
+        self._check(monkeypatch, rt.SETUP_TRI_TRI, blue, red, tri_tri_query)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_line_flat_xy_degenerate_flats(self, seed):
+    def test_line_flat_xy_degenerate_flats(self, seed, monkeypatch):
         rng = random.Random(30 + seed)
         _tets, tris, segs = _direction_scene(rng)
         flats = [t.vertices for t in tris]
         lines = segs + [_flat_w_segment(rng, _centroid(rng.choice(flats))) for _ in range(6)]
-        self._check(rt.SETUP_LINE_2FLAT, flats, lines, line_2flat_query)
+        self._check(monkeypatch, rt.SETUP_LINE_2FLAT, flats, lines, line_2flat_query)
 
 
 # ---------------------------------------------------------------------------
@@ -715,11 +736,14 @@ def _rational_scene(draw):
 @given(_rational_scene())
 def test_box_pruned_structure_equals_oracle(scene):
     setup, inputs, queries = scene
-    for sigma in (1, 2, 6):
-        st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
-        for mode in MODES:
-            rep, _stats, _per = rt.query_batch(st, queries, mode)
-            assert rep == brute_query(setup, queries, inputs, mode), (sigma, mode)
+    for leaf_min, sigma in _LEAF_RULES:
+        with pytest.MonkeyPatch.context() as mp:
+            # next-level trees are built during the queries, so they run here too
+            mp.setattr(rt, "LEAF_MIN", leaf_min)
+            st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+            for mode in MODES:
+                rep, _stats, _per = rt.query_batch(st, queries, mode)
+                assert rep == brute_query(setup, queries, inputs, mode), (leaf_min, sigma, mode)
 
 
 def _shift_x(points, dx):
@@ -732,7 +756,9 @@ def _points_of(x):
 
 @pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TRI_TRI, rt.SETUP_TETRA_SEG))
 def test_boxes_prune_the_far_cluster(monkeypatch, setup):
-    # two clusters 100 apart along x; queries in the first one
+    # two clusters 100 apart along x; queries in the first one.  The paper's
+    # bare leaf rule, so that the 60 inputs split into many nodes.
+    monkeypatch.setattr(rt, "LEAF_MIN", 1)
     rng = random.Random(3)
     near, queries = _scene(rng, setup, 30, 20, 6, 6)
     far = [type(x)(*_shift_x(_points_of(x), 100)) for x in _scene(rng, setup, 30, 0, 6, 6)[0]]
@@ -772,3 +798,117 @@ def test_boxes_prune_the_far_cluster(monkeypatch, setup):
         assert rep == oracle, sigma
     assert scanned & far_ids
     assert visited[6] < stats.nodes_visited
+
+
+# ---------------------------------------------------------------------------
+# leaf buckets
+
+_BUCKET_SIZES = ("below", "at", "above", "triple")
+
+
+def _bucket_n(size):
+    k = rt.LEAF_MIN
+    return {"below": k - 1, "at": k, "above": k + 1, "triple": 3 * k}[size]
+
+
+def _through_flat(rng, flat):
+    """A line through a point of the flat's 2-plane."""
+    k = (rng.randint(-1, 2), rng.randint(-1, 2))
+    p = Point4(*(flat[0][i] + k[0] * (flat[1][i] - flat[0][i]) + k[1] * (flat[2][i] - flat[0][i])
+                 for i in range(4)))
+    d = rnd_point(rng, 3)
+    if not any(d):
+        d = Point4(1, 0, 0, 0)
+    return Segment4(p, Point4(*(p[i] + d[i] for i in range(4))))
+
+
+def _slab_scene(rng, n, m):
+    """n tetrahedra lying in the hyperplanes w = 0..4 and m segments from
+    w = 40 down to w = -40 across all of them: every endpoint is strictly on
+    one side of every hyperplane, so the endpoint levels are INSIDE at the
+    roots of their trees, which are leaves up to LEAF_MIN items."""
+    tets = []
+    while len(tets) < n:
+        w = rng.randint(0, 4)
+        try:
+            tets.append(Tetrahedron4(*(Point4(*rnd_point(rng, 4)[:3], w) for _ in range(4))))
+        except DegenerateTetrahedron:
+            continue
+    segs = [Segment4(Point4(*rnd_point(rng, 3)[:3], 40), Point4(*rnd_point(rng, 3)[:3], -40))
+            for _ in range(m)]
+    return tets, segs
+
+
+def _bucket_scene(rng, setup, kind, n, m=10):
+    """n inputs and m queries in close contact: tetrahedra that share
+    vertices with segments on their hyperplanes, facets and edges, small
+    triangles on a coarse lattice, and lines through the flats; or, for
+    kind "slabs", the scene of ``_slab_scene``."""
+    if setup in (rt.SETUP_SEG_TETRA, rt.SETUP_TETRA_SEG):
+        tets, segs = (_slab_scene if kind == "slabs" else _degenerate_scene)(rng, n, n)
+        return (tets, segs[:m]) if setup == rt.SETUP_SEG_TETRA else (segs, tets[:m])
+    if setup == rt.SETUP_TRI_TRI:
+        return ([rnd_triangle(rng, 3, 3) for _ in range(n)],
+                [rnd_triangle(rng, 3, 3) for _ in range(m)])
+    flats = [rnd_flat(rng, 3, 3) for _ in range(n)]
+    return flats, [_through_flat(rng, rng.choice(flats)) if k % 2 else rnd_segment(rng, 3, 3)
+                   for k in range(m)]
+
+
+_BUCKET_SCENES = tuple((s, "contact") for s in ALL_SETUPS) + (
+    (rt.SETUP_SEG_TETRA, "slabs"), (rt.SETUP_TETRA_SEG, "slabs"))
+
+
+def _typed_report(rep):
+    return (rep.detected, rep.count,
+            [(i, j, tuple((type(c), c) for c in w)) for (i, j, w) in rep.pairs])
+
+
+@pytest.mark.parametrize("size", _BUCKET_SIZES)
+@pytest.mark.parametrize("setup,kind", _BUCKET_SCENES)
+def test_leaf_buckets_equal_oracle(setup, kind, size):
+    # at the real LEAF_MIN, around and above one bucket, with int and
+    # Fraction witnesses told apart
+    n = _bucket_n(size)
+    inputs, queries = _bucket_scene(random.Random(n), setup, kind, n)
+    expected = {mode: brute_query(setup, queries, inputs, mode) for mode in MODES}
+    assert expected[QueryMode.COUNT].count > 0
+    for sigma in (1, 2, 6):
+        st = rt.build(inputs, setup, StorageBudget.from_sigma(n, sigma))
+        for mode in MODES:
+            rep, _stats, _per = rt.query_batch(st, queries, mode)
+            assert _typed_report(rep) == _typed_report(expected[mode]), (sigma, mode)
+
+
+def _walk_trees(tree):
+    yield tree
+    for node in _nodes(tree.root):
+        if node._next is not None:
+            yield from _walk_trees(node._next)
+
+
+@pytest.mark.parametrize("setup,kind", _BUCKET_SCENES)
+def test_leaf_rule_and_no_tree_under_a_leaf(setup, kind):
+    # every leaf holds at most max(leaf_cutoff, LEAF_MIN) items unless their
+    # level vectors are all equal, every internal node more, and every
+    # materialised next-level tree hangs off an internal node
+    nexts = 0
+    for size in _BUCKET_SIZES:
+        n = _bucket_n(size)
+        inputs, queries = _bucket_scene(random.Random(n), setup, kind, n)
+        for sigma in (1, 2, 6):
+            budget = StorageBudget.from_sigma(n, sigma)
+            bound = max(budget.leaf_cutoff, rt.LEAF_MIN)
+            st = rt.build(inputs, setup, budget)
+            rt.query_batch(st, queries, QueryMode.REPORT)
+            for tree in _walk_trees(st.root_tree):
+                for node in _nodes(tree.root):
+                    if node.is_leaf:
+                        assert node._next is None, (size, sigma, tree.level)
+                        pts = {st.points[tree.level][i] for i in node.items}
+                        assert len(node.items) <= bound or len(pts) == 1
+                    else:
+                        assert len(node.items) > bound
+                        nexts += node._next is not None
+    # the slab scenes forward canonical sets; the others may not
+    assert nexts > 0 or kind != "slabs"
