@@ -7,17 +7,16 @@ For n tetrahedra in R^4 the module reports:
   2-faces).  No edge or face is tested against its own tetrahedron, and
   only a pair's first hit solves for its witness,
 * the full convex intersection polygon of a pair,
-* triples with a common point and 4-wise intersection points, obtained by
-  reducing each tetrahedron's larger-index neighbours to a 3D triangle
-  scene in a rational chart of its supporting hyperplane.  So each pair's
-  contact, each triple and each quadruple is computed once, in the chart
-  of its smallest member.
+* triples with a common point and 4-wise intersection points, found from
+  each tetrahedron t0's contact pieces with its larger-index neighbours.
+  Each piece t0 ^ t is a polygon, a segment or a point, and t0 ^ ta ^ tb is
+  the chord of piece a on tb's hyperplane clipped to tb.  So each pair's
+  contact, each triple and each quadruple is computed once, from its
+  smallest member, and all of it in R^4.
 
 An edge that lies in the other tetrahedron's hyperplane is clipped to that
-tetrahedron, and both clip ends are candidate polygon vertices.  A pair that
-meets only in a segment or a point is clipped directly against each other
-neighbour, and each triple's segment is crossed with a fourth tetrahedron
-for the quadruples.
+tetrahedron, and both clip ends are candidate polygon vertices.  Each
+triple's segment is crossed with a fourth tetrahedron for the quadruples.
 
 Counts agree exactly with oracle.arrangement_k_counts wherever that is
 defined (it raises when the hyperplanes of a triple or a quadruple through
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from .kernel4d import (
     DegeneratePosition,
@@ -39,15 +38,11 @@ from .kernel4d import (
     TetraPre,
     Triangle4,
     _chart2,
-    _clip,
     _dot,
     _segment_clip_in_plane,
     _sign,
-    _sub,
-    det3,
     tetra_edges,
     tetra_facets,
-    tetra_plane,
     tri_tri_any,
     tri_tri_direct,
 )
@@ -191,161 +186,57 @@ def intersection_polygon(ti: Tetrahedron4, tj: Tetrahedron4,
 
 
 # ---------------------------------------------------------------------------
-# per-tetrahedron reduction to a 3D triangle scene
-
-
-def _chart3(t0: Tetrahedron4):
-    """Rational affine chart of the supporting hyperplane: the 3 coordinate
-    axes with the largest spanning determinant."""
-    v = t0.vertices
-    d = [_sub(v[i], v[0]) for i in (1, 2, 3)]
-    best = None
-    for cols in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)):
-        m = det3(
-            tuple(d[0][k] for k in cols),
-            tuple(d[1][k] for k in cols),
-            tuple(d[2][k] for k in cols),
-        )
-        if best is None or abs(m) > abs(best[1]):
-            best = (cols, m)
-    cols, m = best
-    if m == 0:
-        raise DegeneratePosition("degenerate chart")
-    n, c = tetra_plane(t0)
-    missing = next(k for k in range(4) if k not in cols)
-
-    def project(p):
-        return tuple(p[k] for k in cols)
-
-    def lift(q3):
-        # recover the missing coordinate from n . x = c
-        out = [None] * 4
-        for k, val in zip(cols, q3):
-            out[k] = val
-        s = c - sum(n[k] * out[k] for k in cols)
-        out[missing] = Fraction(s) / n[missing]
-        return Point4(*(Fraction(x) for x in out))
-
-    return project, lift
+# per-tetrahedron reduction: triples and quadruples through one tetrahedron
 
 
 def _fan_triangles(v: Sequence[Point4]):
     return [(v[0], v[k], v[k + 1]) for k in range(1, len(v) - 1)]
 
 
-def _tri3_plane(tri3):
-    a, b, c = tri3
-    d1 = tuple(b[k] - a[k] for k in range(3))
-    d2 = tuple(c[k] - a[k] for k in range(3))
-    n = (
-        d1[1] * d2[2] - d1[2] * d2[1],
-        d1[2] * d2[0] - d1[0] * d2[2],
-        d1[0] * d2[1] - d1[1] * d2[0],
-    )
-    if n == (0, 0, 0):
-        raise DegeneratePosition("flat 3D triangle")
-    return n, sum(n[k] * a[k] for k in range(3))
+def _box(verts):
+    return tuple((min(p[k] for p in verts), max(p[k] for p in verts)) for k in range(4))
 
 
-def _bary2_3d(d1, d2, r):
-    """(s, t) with r = s*d1 + t*d2 for 3-vectors, or None if r is off the
-    span; direct 2x2 solve on the largest nonzero minor."""
-    for i in range(3):
-        for j in range(i + 1, 3):
-            det = d1[i] * d2[j] - d1[j] * d2[i]
-            if det != 0:
-                s = Fraction(r[i] * d2[j] - r[j] * d2[i]) / det
-                t = Fraction(d1[i] * r[j] - d1[j] * r[i]) / det
-                k = 3 - i - j
-                if d1[k] * s + d2[k] * t != r[k]:
-                    return None
-                return s, t
-    return None
+def _chord(verts, pre: TetraPre):
+    """The distinct points where the convex piece with cyclic vertices verts
+    meets pre's supporting hyperplane on its boundary: its vertices there
+    and its edges' crossings.  At most two, unless a polygon lies in the
+    hyperplane."""
+    s = [_dot(pre.n, v) - pre.c for v in verts]
+    pts = {tuple(v): v for v, sv in zip(verts, s) if sv == 0}
+    k = len(verts)
+    for i in range(k if k > 2 else k - 1):
+        j = (i + 1) % k
+        if s[i] * s[j] < 0:
+            p = _lerp(verts[i], verts[j], s[i] / (s[i] - s[j]))
+            pts[tuple(p)] = p
+    return list(pts.values())
 
 
-def _plane_pair_line(na, ca, nb, cb):
-    """Line of intersection of two 3D planes as (o, d), or None (parallel) or
-    DegeneratePosition (coincident)."""
-    d = (
-        na[1] * nb[2] - na[2] * nb[1],
-        na[2] * nb[0] - na[0] * nb[2],
-        na[0] * nb[1] - na[1] * nb[0],
-    )
-    if d == (0, 0, 0):
-        # parallel planes; coincident iff the equations are proportional
-        for k in range(3):
-            if na[k] != 0:
-                if all(na[k] * nb[j] == nb[k] * na[j] for j in range(3)) and na[k] * cb == nb[k] * ca:
-                    raise DegeneratePosition("coplanar polygon pieces")
-                break
+def _triple(pa, pb):
+    """(witness, ends) of the common part of two contact pieces of t0, or
+    None when they miss.  That part is pa ^ tb: the chord of pa on tb's
+    hyperplane, clipped to tb."""
+    _, _, verts_a, box_a = pa
+    _, pre_b, verts_b, box_b = pb
+    if any(box_a[k][1] < box_b[k][0] or box_b[k][1] < box_a[k][0] for k in range(4)):
         return None
-    k = max(range(3), key=lambda i: abs(d[i]))
-    i, j = [x for x in range(3) if x != k]
-    det = na[i] * nb[j] - na[j] * nb[i]
-    o = [None, None, None]
-    o[k] = Fraction(0)
-    o[i] = Fraction(ca * nb[j] - cb * na[j]) / det
-    o[j] = Fraction(na[i] * cb - nb[i] * ca) / det
-    return tuple(o), d
-
-
-def _clip_line_tri3(o, d, tri3):
-    a, b, c = tri3
-    d1 = tuple(b[k] - a[k] for k in range(3))
-    d2 = tuple(c[k] - a[k] for k in range(3))
-    p0 = _bary2_3d(d1, d2, tuple(o[k] - a[k] for k in range(3)))
-    pd = _bary2_3d(d1, d2, d)
-    if p0 is None or pd is None:
-        return None
-    s0, t0 = p0
-    ds, dt = pd
-    clip = _clip(((s0, ds), (t0, dt), (1 - s0 - t0, -ds - dt)), None, None)
-    return None if clip is None or None in clip else clip
-
-
-@dataclass
-class _Piece:
-    """t0 ^ t for one neighbour t.  A polygon also carries its fan triangles
-    in t0's 3D chart, their common plane and their bounding box."""
-
-    idx: int
-    pre: TetraPre
-    verts: List[Point4]
-    tris3: Optional[list] = None
-    plane: Optional[tuple] = None
-    box: Optional[tuple] = None
-
-
-def _polygon_pair_span(pa: _Piece, pb: _Piece):
-    """The segment pa ^ pb of two polygon pieces as (line, lo, hi) in the 3D
-    chart, or None when they miss."""
-    if any(pa.box[k][1] < pb.box[k][0] or pb.box[k][1] < pa.box[k][0] for k in range(3)):
-        return None
-    try:
-        line = _plane_pair_line(*pa.plane, *pb.plane)
-    except DegeneratePosition:
+    chord = _chord(verts_a, pre_b)
+    if len(chord) > 2:
         # the three hyperplanes share a 2-plane: the triple is empty unless
         # the pieces meet, and then the oracle is undefined too
-        fans = [[Triangle4(*f) for f in _fan_triangles(p.verts)] for p in (pa, pb)]
+        fans = [[Triangle4(*f) for f in _fan_triangles(v)] for v in (verts_a, verts_b)]
         if any(tri_tri_any(fa, fb) is not None for fa in fans[0] for fb in fans[1]):
-            raise
+            raise DegeneratePosition("coplanar polygon pieces")
         return None
-    if line is None:
+    if not chord:
         return None
-    # every fan triangle of a polygon lies in the polygon's plane, so all
-    # of them meet the one line; the fan tiles the convex polygon, so the
-    # union of its triangles' clips is the polygon's one interval there
-    o, d = line
-    spans = []
-    for piece in (pa, pb):
-        clips = [c for c in (_clip_line_tri3(o, d, t) for t in piece.tris3) if c is not None]
-        if not clips:
-            return None
-        spans.append((min(c[0] for c in clips), max(c[1] for c in clips)))
-    lo, hi = max(spans[0][0], spans[1][0]), min(spans[0][1], spans[1][1])
-    if lo > hi:
+    u, v = chord[0], chord[-1]
+    clip = _segment_clip_in_plane(u, v, pre_b)
+    if clip is None:
         return None
-    return line, lo, hi
+    lo, hi = clip
+    return _lerp(u, v, (lo + hi) / 2), [_lerp(u, v, lo), _lerp(u, v, hi)]
 
 
 def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrahedron4]],
@@ -354,10 +245,11 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
 
     Returns (triples, quads): triples maps (i, j, k) index triples containing
     self_index to (witness, endpoints); quads maps 4-index tuples to the
-    common point.  Each triple's common segment (or point) is crossed with
-    the fourth tetrahedron to find the quadruples.
+    common point.  Each neighbour's contact piece with t0 is a polygon, a
+    segment or a point.  A triple is the smaller piece's chord on the other
+    neighbour's hyperplane, clipped to that neighbour; its segment (or
+    point) is crossed with a fourth tetrahedron for the quadruples.
     """
-    project, lift_fn = _chart3(t0)
     pre0 = TetraPre(t0)
     pieces = []
     for (idx, t) in neighbours:
@@ -369,51 +261,32 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
             continue
         if not verts:
             raise EmptyIntersection(f"pair {(self_index, idx)} does not intersect")
-        piece = _Piece(idx, pre, verts)
-        if len(verts) >= 3:
-            piece.tris3 = [tuple(project(p) for p in tri) for tri in _fan_triangles(verts)]
-            piece.plane = _tri3_plane(piece.tris3[0])
-            piece.box = tuple(
-                (min(p[k] for tri in piece.tris3 for p in tri),
-                 max(p[k] for tri in piece.tris3 for p in tri))
-                for k in range(3)
-            )
-        pieces.append(piece)
+        pieces.append((idx, pre, verts, _box(verts)))
 
     triples = {}
     ends_by_pair = {}
     for a in range(len(pieces)):
         for b in range(a + 1, len(pieces)):
-            pa, pb = pieces[a], pieces[b]
-            if pa.tris3 is not None and pb.tris3 is not None:
-                span = _polygon_pair_span(pa, pb)
-                if span is None:
-                    continue
-                (o, d), lo, hi = span
-                wit = lift_fn(tuple(o[k] + (lo + hi) / 2 * d[k] for k in range(3)))
-                ends = [lift_fn(tuple(o[k] + t * d[k] for k in range(3))) for t in (lo, hi)]
-            else:
-                # a contact in a segment or a point: clip it to the other tetrahedron
-                seg, other = (pa, pb) if pa.tris3 is None else (pb, pa)
-                ends = _segment_piece(seg.verts[0], seg.verts[-1], other.pre)
-                if not ends:
-                    continue
-                ends = [ends[0], ends[-1]]
-                wit = _lerp(ends[0], ends[1], Fraction(1, 2))
-            triples[tuple(sorted((self_index, pa.idx, pb.idx)))] = (wit, ends)
-            ends_by_pair[(a, b)] = ends
+            # chord the piece with fewer vertices, so that a polygon lying in
+            # the other hyperplane is only ever met by another polygon
+            pa, pb = sorted((pieces[a], pieces[b]), key=lambda p: len(p[2]))
+            found = _triple(pa, pb)
+            if found is None:
+                continue
+            triples[tuple(sorted((self_index, pa[0], pb[0])))] = found
+            ends_by_pair[(a, b)] = found[1]
 
     quads = {}
     for (a, b), ends in ends_by_pair.items():
         for c in range(b + 1, len(pieces)):
             if (a, c) not in ends_by_pair or (b, c) not in ends_by_pair:
                 continue
-            hit = _segment_piece(ends[0], ends[1], pieces[c].pre)
+            hit = _segment_piece(ends[0], ends[1], pieces[c][1])
             if not hit:
                 continue
             if hit[0] != hit[-1]:
                 raise DegeneratePosition("four hyperplanes do not meet in a point")
-            key = tuple(sorted((self_index, pieces[a].idx, pieces[b].idx, pieces[c].idx)))
+            key = tuple(sorted((self_index, pieces[a][0], pieces[b][0], pieces[c][0])))
             quads[key] = hit[0]
     return triples, quads
 
@@ -422,8 +295,8 @@ def k_counts(tetrahedra: Sequence[Tetrahedron4]):
     """(k2, k3, k4) by the reduction pipeline; equals the oracle counts."""
     witnesses = pairwise(tetrahedra)
     # each tetrahedron is reduced against its larger neighbours only, so
-    # every contact, triple and quadruple is computed once, in the chart of
-    # its smallest member
+    # every contact, triple and quadruple is computed once, from its
+    # smallest member
     later: Dict[int, List[int]] = {}
     for w in witnesses:
         i, j = w.pair

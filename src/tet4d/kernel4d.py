@@ -205,9 +205,6 @@ class Hyperplane4:
         if all(c == 0 for c in self.coeffs):
             raise ValueError("zero hyperplane")
 
-    def side(self, p: Sequence) -> Sign:
-        return _sign(_dot(self.coeffs, p) - self.offset)
-
 
 @dataclass(frozen=True)
 class LineParam:
@@ -397,10 +394,6 @@ def hyperplane_of(t: Tetrahedron4) -> Hyperplane4:
     lead = next(v for v in n if v != 0)
     coeffs = tuple(Fraction(v) / lead for v in n)
     return Hyperplane4(coeffs, Fraction(c) / lead)
-
-
-def side_of_hyperplane(p: Point4, h: Hyperplane4) -> Sign:
-    return h.side(p)
 
 
 # ---------------------------------------------------------------------------
@@ -968,23 +961,6 @@ def shear_matrix(salt: int):
     ew = elem(3, {0: s, 1: s * s, 2: s ** 3})
     return _matmul4(ew, _matmul4(ey, ex))
 
-def _mat_inverse_unimodular(M):
-    """Exact integer inverse of a unimodular integer matrix (adjugate)."""
-    d = det4(tuple(M[0]), tuple(M[1]), tuple(M[2]), tuple(M[3]))
-    assert d in (1, -1)
-    inv = [[0] * 4 for _ in range(4)]
-    for i in range(4):
-        for j in range(4):
-            rows = [M[r] for r in range(4) if r != j]
-            cols = [c for c in range(4) if c != i]
-            m = det3(
-                tuple(rows[0][c] for c in cols),
-                tuple(rows[1][c] for c in cols),
-                tuple(rows[2][c] for c in cols),
-            )
-            inv[i][j] = ((-1) ** (i + j)) * m * d
-    return inv
-
 
 def _apply_mat(M, p):
     return Point4(
@@ -1000,11 +976,6 @@ def generic_shear(points: Sequence[Point4], salt: int):
     point; intersection combinatorics are preserved."""
     M = shear_matrix(salt)
     return [_apply_mat(M, p) for p in points]
-
-
-def generic_shear_inverse(points: Sequence[Point4], salt: int):
-    Minv = _mat_inverse_unimodular(shear_matrix(salt))
-    return [_apply_mat(Minv, p) for p in points]
 
 
 # ---------------------------------------------------------------------------

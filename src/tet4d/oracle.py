@@ -206,8 +206,6 @@ class KCounts:
     pair_set: List[Tuple[int, int]]
     triple_set: List[Tuple[int, int, int]]
     quad_set: List[Tuple[int, int, int, int]]
-    quad_points: List[Point4]
-    triple_endpoints: List[Point4]
 
     def counts(self):
         return (self.k2, self.k3, self.k4)
@@ -334,7 +332,6 @@ def arrangement_k_counts(tetrahedra: Sequence[Tetrahedron4]) -> KCounts:
         for (o, d, lo, hi) in (triple_data[t] for t in triple_set)
     ]
     vertices += list(uniq.values())
-    endpoints_uniq = [Point4(*t) for t in sorted(set(map(tuple, triple_endpoints)))]
     return KCounts(
         k2=len(pair_set),
         k3=len(triple_set),
@@ -343,6 +340,4 @@ def arrangement_k_counts(tetrahedra: Sequence[Tetrahedron4]) -> KCounts:
         pair_set=pair_set,
         triple_set=triple_set,
         quad_set=quad_set,
-        quad_points=quad_points,
-        triple_endpoints=endpoints_uniq,
     )

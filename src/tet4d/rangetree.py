@@ -555,16 +555,15 @@ class _DetectHit(Exception):
 class _Run:
     """Mutable state of one query evaluation."""
 
-    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "audit", "detect", "skip")
+    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "detect", "skip")
 
-    def __init__(self, struct, ctx, mode, audit=None, skip=None):
+    def __init__(self, struct, ctx, mode, skip=None):
         self.struct = struct
         self.ctx = ctx
         self.mode = mode
         self.stats = QueryStats()
         self.hits = []
         self.witnesses = {}       # object -> the point its fallback found
-        self.audit = audit
         self.detect = mode == QueryMode.DETECT
         self.skip = skip          # objects never to test: the query owner's, and paired owners'
 
@@ -619,8 +618,6 @@ def _canonical_pass(setup, sig):
 
 def _record(run: _Run, j: int):
     run.hits.append(j)
-    if run.audit is not None:
-        run.audit.setdefault("resolved", []).append(j)
     if run.detect:
         raise _DetectHit()
 
@@ -628,8 +625,6 @@ def _record(run: _Run, j: int):
 def _absorb(run: _Run, items):
     if run.skip:
         items = [j for j in items if j not in run.skip]
-    if run.audit is not None:
-        run.audit.setdefault("canonical", []).append(tuple(items))
     run.hits.extend(items)
     if run.detect and items:
         raise _DetectHit()
@@ -687,15 +682,15 @@ def _descend(run: _Run) -> _Run:
     return run
 
 
-def query(structure: MultiLevelStructure, query_object, mode: QueryMode,
-          audit=None) -> Tuple[IntersectionReport, QueryStats]:
+def query(structure: MultiLevelStructure, query_object,
+          mode: QueryMode) -> Tuple[IntersectionReport, QueryStats]:
     """Exact query; the report is identical to the oracle's for this single
     query object (indexA is 0)."""
     if structure.n == 0:
         return IntersectionReport(False, 0, []), QueryStats()
     setup = structure.setup
     ctx = setup.make_ctx(query_object)
-    run = _descend(_Run(structure, ctx, mode, audit))
+    run = _descend(_Run(structure, ctx, mode))
     known = run.witnesses
     rep = _assemble(mode, [(0, j) for j in sorted(run.hits)],
                     lambda _i, j: known[j] if j in known else setup.witness(ctx, j))

@@ -1,6 +1,5 @@
 import itertools
 import random
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,9 +26,6 @@ from tet4d.kernel4d import (
 )
 from tet4d.oracle import arrangement_k_counts
 from tet4d.scenes import decode_objects, generate
-
-F = Fraction
-
 
 def far_apart_tetra(rng, k):
     out = []
@@ -198,8 +194,6 @@ class TestIntersectionPolygon:
             for v in poly.ordered_vertices:
                 assert pres[0].contains(v) and pres[1].contains(v)
             # convex position in cyclic order: all cross products same sign
-            from tet4d.arrangement import _chart3
-
             pts = poly.ordered_vertices
             # project to a planar chart spanned by the polygon itself
             o = pts[0]
@@ -239,22 +233,6 @@ class TestReduction:
             except (EmptyIntersection, DegeneratePosition):
                 continue
         assert triples == {} and quads == {}
-
-    def test_chart_round_trip(self, rng):
-        from tet4d.arrangement import _chart3
-
-        for _ in range(20):
-            t = rnd_tetra(rng, 6, 8)
-            project, lift_fn = _chart3(t)
-            # random rational points of the supporting hyperplane
-            from tet4d.kernel4d import tetra_plane
-
-            vs = t.vertices
-            for _s in range(5):
-                lam = [F(rng.randint(-4, 8), 4) for _ in range(3)]
-                p = Point4(*(vs[0][i] + sum(lam[k] * (vs[k + 1][i] - vs[0][i])
-                                            for k in range(3)) for i in range(4)))
-                assert lift_fn(project(p)) == p
 
     def test_counts_match_oracle(self, rng):
         for trial in range(5):
@@ -347,6 +325,17 @@ class TestInPlaneEdges:
         assert k_counts(tets) == arrangement_k_counts(tets).counts()
 
 
+# T0 lies in w = 0, A_SLAB in z = 0 and both B's in z + w = 0, so the three
+# hyperplanes share the 2-plane z = w = 0.  A_SLAB and each B meet T0 in a
+# triangle there, and the two triangles' boxes meet.  In (x, y), A_SLAB's
+# piece is (0, 0), (4, 0), (0, 4); B_APART's lies beyond x + y = 4, and
+# B_OVER's reaches inside it
+T0 = _tet((-10, -10, -1, 0), (20, -10, -1, 0), (-10, 20, -1, 0), (0, 0, 5, 0))
+A_SLAB = _tet((0, 0, 0, -1), (8, 0, 0, 1), (0, 8, 0, 1), (0, 0, 0, 1))
+B_APART = _tet((3, 3, 0, 0), (4, 4, 0, 0), (2, 4, 0, 0), (3, 4, 1, -1))
+B_OVER = _tet((1, 1, 0, 0), (2, 2, 0, 0), (0, 2, 0, 0), (1, 2, 1, -1))
+
+
 class TestTouchingContacts:
     def test_segment_contact_degenerate(self):
         # two tetrahedra sharing exactly one edge, in different hyperplanes
@@ -369,17 +358,87 @@ class TestTouchingContacts:
         assert k_counts(tets) == arrangement_k_counts(tets).counts() == _brute_counts(tets)
 
     def test_three_hyperplanes_through_one_2plane(self):
-        # w = 0, z = 0 and z + w = 0 share the 2-plane z = w = 0; a and b
-        # meet t0 in disjoint triangles there whose boxes overlap
-        t0 = _tet((-10, -10, -1, 0), (20, -10, -1, 0), (-10, 20, -1, 0), (0, 0, 5, 0))
-        a = _tet((0, 0, 0, -1), (8, 0, 0, 1), (0, 8, 0, 1), (0, 0, 0, 1))
-        b = _tet((3, 3, 0, 0), (4, 4, 0, 0), (2, 4, 0, 0), (3, 4, 1, -1))
-        tets = [t0, a, b]
+        tets = [T0, A_SLAB, B_APART]
         assert k_counts(tets) == arrangement_k_counts(tets).counts() == _brute_counts(tets)
 
     def test_touching_clusters_match_oracle(self):
         tets = _touching_clusters()
         assert k_counts(tets) == arrangement_k_counts(tets).counts()
+
+
+def _reductions(tets):
+    """(i, neighbours) for each tetrahedron with larger-index neighbours, as
+    k_counts reduces them."""
+    later = {}
+    for w in pairwise(tets):
+        later.setdefault(w.pair[0], []).append(w.pair[1])
+    return [(i, [(j, tets[j]) for j in nbrs]) for i, nbrs in later.items()]
+
+
+def _boxes_meet(va, vb):
+    return all(min(p[k] for p in va) <= max(p[k] for p in vb)
+               and min(p[k] for p in vb) <= max(p[k] for p in va) for k in range(4))
+
+
+class TestTriplesInR4:
+    """A triple through t0 is one contact piece's chord on the other
+    neighbour's hyperplane, clipped to that neighbour."""
+
+    def test_ends_and_quad_points_in_every_member(self):
+        rng = random.Random(0x3C0)
+        scenes = _seeded_scenes() + [_lattice_scene(rng) for _ in range(60)]
+        triples = quads = 0
+        for tets in scenes:
+            pres = [TetraPre(t) for t in tets]
+            for i, nbrs in _reductions(tets):
+                try:
+                    got3, got4 = per_tetra_reduction(tets[i], nbrs, i)
+                except GeometryError:
+                    continue  # dependent hyperplanes
+                for key, (wit, ends) in got3.items():
+                    assert i in key and len(ends) == 2
+                    for p in (wit, *ends):
+                        assert all(pres[m].contains(p) for m in key)
+                for key, p in got4.items():
+                    assert i in key and all(pres[m].contains(p) for m in key)
+                triples += len(got3)
+                quads += len(got4)
+        assert triples > 100 and quads > 10
+
+    @pytest.mark.parametrize("b, meet", [(B_APART, False), (B_OVER, True)], ids=["apart", "overlap"])
+    def test_polygon_pieces_in_one_2plane(self, b, meet):
+        pre0 = TetraPre(T0)
+        pieces = [arrangement._contact(T0, t, pre0, TetraPre(t)) for t in (A_SLAB, b)]
+        assert all(len(v) == 3 and all(p.z == p.w == 0 for p in v) for v in pieces)
+        assert _boxes_meet(*pieces)
+        if meet:
+            with pytest.raises(DegeneratePosition, match="coplanar polygon pieces"):
+                per_tetra_reduction(T0, [(1, A_SLAB), (2, b)], 0)
+        else:
+            assert per_tetra_reduction(T0, [(1, A_SLAB), (2, b)], 0) == ({}, {})
+
+    def test_chords_only_pieces_whose_boxes_meet(self, monkeypatch):
+        calls = []
+        real_chord = arrangement._chord
+
+        def chord(verts, pre):
+            calls.append(verts)
+            return real_chord(verts, pre)
+
+        monkeypatch.setattr(arrangement, "_chord", chord)
+        skipped = 0
+        for tets in _seeded_scenes()[:4]:
+            for i, nbrs in _reductions(tets):
+                pre0 = TetraPre(tets[i])
+                pieces = [arrangement._contact(tets[i], t, pre0, TetraPre(t)) for _j, t in nbrs]
+                pieces = [v for v in pieces if v]
+                pairs = list(itertools.combinations(pieces, 2))
+                meeting = sum(_boxes_meet(va, vb) for va, vb in pairs)
+                calls.clear()
+                per_tetra_reduction(tets[i], nbrs, i)
+                assert len(calls) == meeting
+                skipped += len(pairs) - meeting
+        assert skipped > 0
 
 
 _lattice = st.tuples(*(st.integers(-3, 3) for _ in range(4)))

@@ -1,6 +1,6 @@
-"""Every top-level import of a package or test module is read somewhere in
-that module.  Re-exports in ``__init__.py`` and ``from __future__`` imports
-are exempt."""
+"""Every import of a package or test module, at top level or inside a
+function, is read somewhere in that module.  Re-exports in ``__init__.py``
+and ``from __future__`` imports are exempt."""
 
 import ast
 import os
@@ -14,10 +14,10 @@ MODULES = sorted(os.path.join(d, f) for d in DIRS for f in os.listdir(d)
 
 
 def unused_imports(source: str):
-    """Names bound by the module's top-level imports that it never reads."""
+    """Names bound by the module's imports that it never reads."""
     tree = ast.parse(source)
     bound = {}
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for a in node.names:
                 bound[a.asname or a.name.split(".")[0]] = node.lineno
@@ -35,5 +35,7 @@ def test_no_unused_imports(path):
 
 
 def test_finds_an_unused_import():
-    src = "from __future__ import annotations\nimport os\nimport sys\nfrom a import b, c as d\nprint(sys, d)\n"
-    assert unused_imports(src) == ["b", "os"]
+    src = ("from __future__ import annotations\nimport os\nimport sys\nfrom a import b, c as d\n"
+           "def f():\n    from e import g, h\n    return h\n"
+           "print(sys, d)\n")
+    assert unused_imports(src) == ["b", "g", "os"]

@@ -18,7 +18,6 @@ from _oracles import (
 )
 from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d.kernel4d import (
-    NEG,
     POS,
     ZERO,
     Contained,
@@ -35,7 +34,6 @@ from tet4d.kernel4d import (
     det5h,
     dual10,
     generic_shear,
-    generic_shear_inverse,
     hyperplane_of,
     line_2flat_meet,
     line_param,
@@ -44,7 +42,6 @@ from tet4d.kernel4d import (
     seg_tetra_hit,
     segment_tetra_direct,
     segment_tetra_predicate,
-    side_of_hyperplane,
     tri_tri_any,
     tri_tri_direct,
     tri_tri_hit,
@@ -171,23 +168,6 @@ class TestHyperplanes:
         with pytest.raises(DegenerateTetrahedron):
             Tetrahedron4(Point4(0, 0, 0, 0), Point4(1, 0, 0, 0),
                          Point4(2, 0, 0, 0), Point4(3, 0, 0, 0))
-
-    def test_side_on_plane_zero(self, rng, simplex_tetra):
-        h = hyperplane_of(simplex_tetra)
-        assert side_of_hyperplane(Point4(1, 0, 0, 0), h) == ZERO
-
-    def test_side_origin_negative(self, simplex_tetra):
-        h = hyperplane_of(simplex_tetra)
-        assert side_of_hyperplane(Point4(0, 0, 0, 0), h) == NEG
-
-    def test_side_matches_independent_dot(self, rng):
-        for _ in range(100):
-            t = rnd_tetra(rng)
-            h = hyperplane_of(t)
-            p = rnd_point(rng, 9)
-            val = sum(F(c) * x for c, x in zip(h.coeffs, p)) - h.offset
-            expect = POS if val > 0 else (NEG if val < 0 else ZERO)
-            assert side_of_hyperplane(p, h) == expect
 
 
 class TestTetraContains:
@@ -442,11 +422,6 @@ class TestGenericShear:
     def test_identity_salt_zero(self, rng):
         pts = [rnd_point(rng, 9) for _ in range(5)]
         assert generic_shear(pts, 0) == pts
-
-    def test_inverse_round_trip(self, rng):
-        for salt in (1, 2, 5):
-            pts = [rnd_point(rng, 9) for _ in range(6)]
-            assert generic_shear_inverse(generic_shear(pts, salt), salt) == [Point4(*p) for p in pts]
 
     def test_heals_constant_w(self):
         seg = Segment4(Point4(0, 0, 0, 1), Point4(1, 0, 0, 1))

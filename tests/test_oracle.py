@@ -195,7 +195,7 @@ class TestKCounts:
     def test_matches_unpruned_enumeration(self, rng):
         from itertools import combinations
 
-        from tet4d.kernel4d import line_tetra_interval, linsolve, tetra_plane
+        from tet4d.kernel4d import line_tetra_interval, linsolve
 
         tets = cluster_tetra(rng, (0, 1, -1, 2), 6, 10) + [rnd_tetra(rng, 5, 8) for _ in range(4)]
         kc = arrangement_k_counts(tets)

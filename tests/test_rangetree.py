@@ -176,9 +176,23 @@ class TestCanonicalSets:
         by_query = {}
         for (i, j, _w) in oracle.pairs:
             by_query.setdefault(i, set()).add(j)
+        # the items each canonical set delivers, and those resolved one by one
+        audit = {}
+        real_absorb, real_record = rt._absorb, rt._record
+
+        def absorb(run, items):
+            audit.setdefault("canonical", []).append(tuple(items))
+            real_absorb(run, items)
+
+        def record(run, j):
+            audit.setdefault("resolved", []).append(j)
+            real_record(run, j)
+
+        monkeypatch.setattr(rt, "_absorb", absorb)
+        monkeypatch.setattr(rt, "_record", record)
         for qi, seg in enumerate(segs):
-            audit = {}
-            rep, _ = rt.query(st, seg, QueryMode.REPORT, audit=audit)
+            audit.clear()
+            rep, _ = rt.query(st, seg, QueryMode.REPORT)
             got = [j for (_z, j, _w) in rep.pairs]
             # no object is delivered twice, and the union equals the oracle set
             assert len(got) == len(set(got))
