@@ -14,9 +14,13 @@ For n tetrahedra in R^4 the module reports:
   contact, each triple and each quadruple is computed once, from its
   smallest member, and all of it in R^4.
 
-An edge that lies in the other tetrahedron's hyperplane is clipped to that
-tetrahedron, and both clip ends are candidate polygon vertices.  Each
-triple's segment is crossed with a fourth tetrahedron for the quadruples.
+Every clip is by affine forms (``TetraPre.forms``): a tetrahedron is the
+part of its hyperplane where its four facet forms are >= 0.  So ti ^ tj is
+ti's section by tj's hyperplane (ti's vertices there and its edges'
+crossings) clipped by tj's facet forms, a triple is a chord clipped the
+same way, and each triple's segment is crossed with a fourth tetrahedron
+for the quadruples.  Points are homogeneous integer rows throughout, so
+every step is exact, and Fractions are built only for what is returned.
 
 Counts agree exactly with oracle.arrangement_k_counts wherever that is
 defined (it raises when the hyperplanes of a triple or a quadruple through
@@ -25,8 +29,10 @@ an intersecting pair are dependent).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
 from .kernel4d import (
@@ -37,14 +43,15 @@ from .kernel4d import (
     Tetrahedron4,
     TetraPre,
     Triangle4,
+    _PAIRS,
     _chart2,
     _dot,
-    _segment_clip_in_plane,
-    _sign,
+    _dot5,
+    _integral,
+    det3,
     tetra_edges,
     tetra_facets,
     tri_tri_any,
-    tri_tri_direct,
 )
 from .oracle import _canon_point
 
@@ -90,84 +97,101 @@ def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
 
 
 # ---------------------------------------------------------------------------
-# the intersection polygon of one pair
+# the intersection polygon of one pair, on homogeneous integer rows
 
 
-def _lerp(u, v, t) -> Point4:
-    return _canon_point(tuple(u[i] + t * (v[i] - u[i]) for i in range(4)))
+def _row(p):
+    """The row (X, D) = (D*p, D) of a point, D > 0 and gcd 1: each point has
+    one row, and an affine form f has the sign of f . (X, D) there."""
+    return _integral((*p, 1))
 
 
-def _segment_piece(u, v, pre: TetraPre) -> List[Point4]:
-    """The ends of segment (u, v) clipped to pre's closed tetrahedron: none
-    when they miss, the crossing point when the segment crosses the
-    supporting hyperplane, and both ends of the clipped piece when it lies
-    in that hyperplane."""
-    va = _dot(pre.n, u) - pre.c
-    vb = _dot(pre.n, v) - pre.c
-    if va == 0 and vb == 0:
-        clip = _segment_clip_in_plane(u, v, pre)
-        return [] if clip is None else [_lerp(u, v, t) for t in clip]
-    if _sign(va) == _sign(vb):
-        return []
-    p = _lerp(u, v, Fraction(va) / (va - vb))
-    return [p] if pre.contains(p) else []
+def _point(r) -> Point4:
+    return Point4(*(Fraction(x, r[4]) for x in r[:4]))
 
 
-def _hull2(pts, chart):
-    """Extreme points of pts (distinct, in one 2-plane) in cyclic order, by
+def _cross(p, sp, q, sq):
+    """The row of the point of segment (p, q) where an affine form with
+    values sp at p and sq at q vanishes; sp and sq are of opposite signs,
+    or one of them is zero."""
+    if sp < 0 or sq > 0:
+        sp, sq = -sp, -sq
+    r = [sp * b - sq * a for a, b in zip(p, q)]
+    g = math.gcd(*r)
+    return tuple(x // g for x in r)
+
+
+def _hull2(rows, chart):
+    """Extreme points of rows (distinct, in one 2-plane) in cyclic order, by
     the monotone chain in the chart coordinates; the two ends when the
     points are collinear."""
     i, j = chart
-    pts = sorted(pts, key=lambda p: (p[i], p[j]))
-    if len(pts) < 3:
-        return pts
+    rows = sorted(rows, key=cmp_to_key(lambda a, b: (a[i] * b[4] - b[i] * a[4])
+                                       or (a[j] * b[4] - b[j] * a[4])))
+    if len(rows) < 3:
+        return rows
 
     def chain(seq):
         out = []
         for p in seq:
             while len(out) >= 2:
                 o, a = out[-2], out[-1]
-                if (a[i] - o[i]) * (p[j] - o[j]) - (a[j] - o[j]) * (p[i] - o[i]) > 0:
+                # the turn o -> a -> p, times the three positive D
+                if det3((o[i], o[j], o[4]), (a[i], a[j], a[4]), (p[i], p[j], p[4])) > 0:
                     break
                 out.pop()
             out.append(p)
         return out[:-1]
 
-    return chain(pts) + chain(reversed(pts))
+    return chain(rows) + chain(reversed(rows))
+
+
+def _on_plane(rows, h, edges):
+    """The rows on the hyperplane of the form h, then the crossings of the
+    edges (index pairs into rows) whose ends lie strictly on either side."""
+    s = [_dot5(h, r) for r in rows]
+    return ([r for r, sv in zip(rows, s) if sv == 0]
+            + [_cross(rows[a], s[a], rows[b], s[b]) for a, b in edges if s[a] * s[b] < 0])
+
+
+def _clip_polygon(rows, forms):
+    """The convex polygon (or segment, or point) with cyclic vertices rows,
+    clipped to where every form is >= 0 (Sutherland-Hodgman)."""
+    for f in forms:
+        s = [_dot5(f, r) for r in rows]
+        k = len(rows)
+        out = []
+        for a in range(k):
+            if s[a] >= 0:
+                out.append(rows[a])
+            b = (a + 1) % k
+            # a segment has one edge, not two
+            if s[a] * s[b] < 0 and (k > 2 or b):
+                out.append(_cross(rows[a], s[a], rows[b], s[b]))
+        rows = out
+    return rows
 
 
 def _contact(ti: Tetrahedron4, tj: Tetrahedron4, pre_i: TetraPre, pre_j: TetraPre):
     """The vertices of the convex set ti ^ tj in cyclic order: three or more
     for a polygon, two for a segment, one for a point, none when the pair is
-    disjoint.  None when both lie in one hyperplane."""
+    disjoint.  None when both lie in one hyperplane.
+
+    ti ^ tj is ti's section by tj's hyperplane, clipped by tj's four facet
+    forms: on that hyperplane they are positive multiples of tj's
+    barycentric coordinates.  Every step is a sign or a crossing of integer
+    rows, so it is exact, and the vertices become Fractions once."""
     # the complement of a nonzero 2x2 minor of the normals charts the common
     # 2-plane one to one
     minor = _chart2(pre_i.n, pre_j.n)
     if minor is None:
         return None if _dot(pre_i.n, tj.v0) == pre_i.c else []
     chart = tuple(k for k in range(4) if k not in minor)
-    pts = {}
-    # each vertex of ti ^ tj is an edge of one tetrahedron clipped to the
-    # other, or the one point where two 2-faces in general position meet
-    for t, pre_other in ((ti, pre_j), (tj, pre_i)):
-        for (u, v) in tetra_edges(t):
-            for p in _segment_piece(u, v, pre_other):
-                pts[tuple(p)] = p
-    faces_j = [Triangle4(*f) for f in tetra_facets(tj)]
-    for f in tetra_facets(ti):
-        fi = Triangle4(*f)
-        for fj in faces_j:
-            try:
-                w = tri_tri_direct(fi, fj)
-            except DegeneratePosition:
-                # the two face planes meet at most in a line of the common
-                # 2-plane, and the ends of the faces' common part there are
-                # ends of clipped edges
-                continue
-            if w is not None:
-                w = _canon_point(w)
-                pts[tuple(w)] = w
-    return _hull2(list(pts.values()), chart)
+    forms = pre_j.forms
+    # ti's section: its vertices on tj's hyperplane and its edges' crossings
+    section = _on_plane([_row(v) for v in ti.vertices], forms[4], _PAIRS)
+    rows = _clip_polygon(_hull2(section, chart), forms[:4])
+    return [_point(r) for r in _hull2(rows, chart)]
 
 
 def intersection_polygon(ti: Tetrahedron4, tj: Tetrahedron4,
@@ -197,31 +221,24 @@ def _box(verts):
     return tuple((min(p[k] for p in verts), max(p[k] for p in verts)) for k in range(4))
 
 
-def _chord(verts, pre: TetraPre):
-    """The distinct points where the convex piece with cyclic vertices verts
+def _chord(rows, pre: TetraPre):
+    """The distinct points where the convex piece with cyclic vertices rows
     meets pre's supporting hyperplane on its boundary: its vertices there
     and its edges' crossings.  At most two, unless a polygon lies in the
     hyperplane."""
-    s = [_dot(pre.n, v) - pre.c for v in verts]
-    pts = {tuple(v): v for v, sv in zip(verts, s) if sv == 0}
-    k = len(verts)
-    for i in range(k if k > 2 else k - 1):
-        j = (i + 1) % k
-        if s[i] * s[j] < 0:
-            p = _lerp(verts[i], verts[j], s[i] / (s[i] - s[j]))
-            pts[tuple(p)] = p
-    return list(pts.values())
+    k = len(rows)
+    return _on_plane(rows, pre.forms[4], [(i, (i + 1) % k) for i in range(k if k > 2 else k - 1)])
 
 
 def _triple(pa, pb):
-    """(witness, ends) of the common part of two contact pieces of t0, or
-    None when they miss.  That part is pa ^ tb: the chord of pa on tb's
-    hyperplane, clipped to tb."""
-    _, _, verts_a, box_a = pa
-    _, pre_b, verts_b, box_b = pb
+    """The rows of the ends of the common part of two contact pieces of t0,
+    or None when they miss.  That part is pa ^ tb: the chord of pa on tb's
+    hyperplane, clipped by tb's facet forms."""
+    _, _, verts_a, rows_a, box_a = pa
+    _, pre_b, verts_b, _, box_b = pb
     if any(box_a[k][1] < box_b[k][0] or box_b[k][1] < box_a[k][0] for k in range(4)):
         return None
-    chord = _chord(verts_a, pre_b)
+    chord = _chord(rows_a, pre_b)
     if len(chord) > 2:
         # the three hyperplanes share a 2-plane: the triple is empty unless
         # the pieces meet, and then the oracle is undefined too
@@ -229,14 +246,19 @@ def _triple(pa, pb):
         if any(tri_tri_any(fa, fb) is not None for fa in fans[0] for fb in fans[1]):
             raise DegeneratePosition("coplanar polygon pieces")
         return None
-    if not chord:
-        return None
-    u, v = chord[0], chord[-1]
-    clip = _segment_clip_in_plane(u, v, pre_b)
-    if clip is None:
-        return None
-    lo, hi = clip
-    return _lerp(u, v, (lo + hi) / 2), [_lerp(u, v, lo), _lerp(u, v, hi)]
+    ends = _clip_polygon(chord, pre_b.forms[:4])
+    return (ends[0], ends[-1]) if ends else None
+
+
+def _quad_row(u, v, pre: TetraPre):
+    """The row of the point where the segment (u, v) meets pre's closed
+    tetrahedron, or None: (u, v) clipped to where the plane form is >= 0
+    and <= 0, then by the facet forms."""
+    h = pre.forms[4]
+    hit = _clip_polygon([u, v], (h, tuple(-x for x in h), *pre.forms[:4]))
+    if len(set(hit)) > 1:
+        raise DegeneratePosition("four hyperplanes do not meet in a point")
+    return hit[0] if hit else None
 
 
 def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrahedron4]],
@@ -246,9 +268,12 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
     Returns (triples, quads): triples maps (i, j, k) index triples containing
     self_index to (witness, endpoints); quads maps 4-index tuples to the
     common point.  Each neighbour's contact piece with t0 is a polygon, a
-    segment or a point.  A triple is the smaller piece's chord on the other
-    neighbour's hyperplane, clipped to that neighbour; its segment (or
-    point) is crossed with a fourth tetrahedron for the quadruples.
+    segment or a point (``_contact``).  A triple is the smaller piece's
+    chord on the other neighbour's hyperplane, clipped by that neighbour's
+    facet forms; its segment (or point) is crossed with a fourth
+    tetrahedron for the quadruples.  All of it runs on the pieces'
+    homogeneous integer rows, which are exact, and only the witnesses, ends
+    and quadruple points become Fractions.
     """
     pre0 = TetraPre(t0)
     pieces = []
@@ -261,7 +286,7 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
             continue
         if not verts:
             raise EmptyIntersection(f"pair {(self_index, idx)} does not intersect")
-        pieces.append((idx, pre, verts, _box(verts)))
+        pieces.append((idx, pre, verts, [_row(p) for p in verts], _box(verts)))
 
     triples = {}
     ends_by_pair = {}
@@ -270,24 +295,23 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
             # chord the piece with fewer vertices, so that a polygon lying in
             # the other hyperplane is only ever met by another polygon
             pa, pb = sorted((pieces[a], pieces[b]), key=lambda p: len(p[2]))
-            found = _triple(pa, pb)
-            if found is None:
+            ends = _triple(pa, pb)
+            if ends is None:
                 continue
-            triples[tuple(sorted((self_index, pa[0], pb[0])))] = found
-            ends_by_pair[(a, b)] = found[1]
+            u, v = ends
+            witness = Point4(*(Fraction(u[k] * v[4] + v[k] * u[4], 2 * u[4] * v[4]) for k in range(4)))
+            triples[tuple(sorted((self_index, pa[0], pb[0])))] = (witness, [_point(u), _point(v)])
+            ends_by_pair[(a, b)] = ends
 
     quads = {}
-    for (a, b), ends in ends_by_pair.items():
+    for (a, b), (u, v) in ends_by_pair.items():
         for c in range(b + 1, len(pieces)):
             if (a, c) not in ends_by_pair or (b, c) not in ends_by_pair:
                 continue
-            hit = _segment_piece(ends[0], ends[1], pieces[c][1])
-            if not hit:
-                continue
-            if hit[0] != hit[-1]:
-                raise DegeneratePosition("four hyperplanes do not meet in a point")
-            key = tuple(sorted((self_index, pieces[a][0], pieces[b][0], pieces[c][0])))
-            quads[key] = hit[0]
+            hit = _quad_row(u, v, pieces[c][1])
+            if hit is not None:
+                key = tuple(sorted((self_index, pieces[a][0], pieces[b][0], pieces[c][0])))
+                quads[key] = _point(hit)
     return triples, quads
 
 

@@ -272,41 +272,6 @@ def det4(r0, r1, r2, r3):
     return m01 * n23 - m02 * n13 + m03 * n12 + m12 * n03 - m13 * n02 + m23 * n01
 
 
-def det5h(r0, r1, r2, r3, r4):
-    """Determinant of five homogeneous rows (x, y, z, w, h).
-
-    Laplace expansion along the first two rows: each 2x2 minor of (r0, r1)
-    times the complementary 3x3 minor of (r2, r3, r4), the latter built from
-    the ten 2x2 minors of (r3, r4)."""
-    a0, a1, a2, a3, a4 = r0
-    b0, b1, b2, b3, b4 = r1
-    c0, c1, c2, c3, c4 = r2
-    d0, d1, d2, d3, d4 = r3
-    e0, e1, e2, e3, e4 = r4
-    n01 = d0 * e1 - d1 * e0
-    n02 = d0 * e2 - d2 * e0
-    n03 = d0 * e3 - d3 * e0
-    n04 = d0 * e4 - d4 * e0
-    n12 = d1 * e2 - d2 * e1
-    n13 = d1 * e3 - d3 * e1
-    n14 = d1 * e4 - d4 * e1
-    n23 = d2 * e3 - d3 * e2
-    n24 = d2 * e4 - d4 * e2
-    n34 = d3 * e4 - d4 * e3
-    return (
-        (a0 * b1 - a1 * b0) * (c2 * n34 - c3 * n24 + c4 * n23)
-        - (a0 * b2 - a2 * b0) * (c1 * n34 - c3 * n14 + c4 * n13)
-        + (a0 * b3 - a3 * b0) * (c1 * n24 - c2 * n14 + c4 * n12)
-        - (a0 * b4 - a4 * b0) * (c1 * n23 - c2 * n13 + c3 * n12)
-        + (a1 * b2 - a2 * b1) * (c0 * n34 - c3 * n04 + c4 * n03)
-        - (a1 * b3 - a3 * b1) * (c0 * n24 - c2 * n04 + c4 * n02)
-        + (a1 * b4 - a4 * b1) * (c0 * n23 - c2 * n03 + c3 * n02)
-        + (a2 * b3 - a3 * b2) * (c0 * n14 - c1 * n04 + c4 * n01)
-        - (a2 * b4 - a4 * b2) * (c0 * n13 - c1 * n03 + c3 * n01)
-        + (a3 * b4 - a4 * b3) * (c0 * n12 - c1 * n02 + c2 * n01)
-    )
-
-
 def orient5(p0: Sequence, p1: Sequence, p2: Sequence, p3: Sequence, p4: Sequence) -> Sign:
     """Sign of the 5x5 determinant with rows (p_i, 1)."""
     return _sign(det4(_sub(p1, p0), _sub(p2, p0), _sub(p3, p0), _sub(p4, p0)))
@@ -440,16 +405,15 @@ class TetraPre:
     """Cached exact data for one tetrahedron used by the fast predicates.
 
     Only the plane and the calibration signs are stored.  The facets are
-    rebuilt on access, and the barycentric basis is built on first use:
-    scenes hold many of these (14 per CCD prism), and most never need a
-    basis.
+    rebuilt on access, and the affine forms are built on first use: scenes
+    hold many of these (14 per CCD prism), and most never need them.
 
     eps[i] is the sign that makes eps[i] * orient5(a, b, *facet_i) the same
     for every facet when the line through a and b pierces the tetrahedron:
     the boundary orientation (-1)^i times sign(n[j]), n[j] the largest
     entry of the normal (the first of equal ones)."""
 
-    __slots__ = ("tet", "n", "c", "eps", "_basis")
+    __slots__ = ("tet", "n", "c", "eps", "_forms")
 
     def __init__(self, tet: Tetrahedron4):
         self.tet = tet
@@ -458,41 +422,54 @@ class TetraPre:
         j = max(range(4), key=lambda k: (abs(n[k]), -k))
         s = 1 if n[j] > 0 else -1
         self.eps = (s, -s, s, -s)
-        self._basis = None
+        self._forms = None
 
     @property
     def facets(self):
         return tetra_facets(self.tet)
 
     @property
-    def basis_rows(self):
-        """Rows (v0, 1) .. (v3, 1), (apex, 1) with apex = v0 + n."""
-        return self._basis_data()[0]
-
-    @property
-    def basis_det(self):
-        return self._basis_data()[1]
-
-    def _basis_data(self):
-        if self._basis is None:
-            tet = self.tet
-            apex = tuple(tet.v0[i] + self.n[i] for i in range(4))
-            rows = [v + (1,) for v in tet.vertices] + [apex + (1,)]
-            self._basis = (rows, det5h(*rows))
-        return self._basis
+    def forms(self):
+        """The five integer rows of ``_affine_forms``, built once."""
+        if self._forms is None:
+            self._forms = _affine_forms(self)
+        return self._forms
 
     def contains(self, p: Sequence) -> bool:
-        # the apex coordinate of p is (n.p - c) / |n|^2: test the hyperplane
-        # first, then stop at the first negative vertex coordinate
+        # the hyperplane first, then the facet forms
         if _dot(self.n, p) != self.c:
             return False
-        ds = _sign(self.basis_det)
-        rows = self.basis_rows
         pr = _integral((*p, 1))
-        for i in range(4):
-            if _sign(det5h(*(rows[:i] + [pr] + rows[i + 1 :]))) * ds < 0:
-                return False
-        return True
+        return all(_dot5(f, pr) >= 0 for f in self.forms[:4])
+
+
+def _affine_forms(pre: TetraPre):
+    """Row k < 4 is facet k's form g . x - g0, positive at vertex k, for the
+    hyperplane through facet k and the direction n.  It meets the supporting
+    hyperplane in the facet's 2-plane, so there the form is a positive
+    multiple of the k-th barycentric coordinate.  Row 4 is n . x - c.  Rows
+    are scaled to integers by positive factors, so p lies in the closed
+    tetrahedron iff, at (p, 1), row 4 is zero and rows 0..3 are >= 0."""
+    v, n = pre.tet.vertices, pre.n
+    n0, n1, n2, n3 = n
+    rows = []
+    for k, f in enumerate(_FACETS):
+        f0 = v[f[0]]
+        # g = _normal((f0, f1, f2, f0 + n)), from the 2x2 minors of the
+        # facet's edge vectors that dual10 lists
+        m = dual10(*(v[i] for i in f))
+        g = (n1 * m[0] + n2 * m[1] + n3 * m[2], -n0 * m[0] + n2 * m[4] + n3 * m[5],
+             -n0 * m[1] - n1 * m[4] + n3 * m[7], -n0 * m[2] - n1 * m[5] - n2 * m[7])
+        g0 = _dot(g, f0)
+        s = 1 if _dot(g, v[k]) > g0 else -1
+        rows.append(_integral((*(s * x for x in g), -s * g0)))
+    rows.append(_integral((*n, -pre.c)))
+    return tuple(rows)
+
+
+def _dot5(f, r):
+    """f . r for rows of five: an affine form at a homogeneous point."""
+    return f[0] * r[0] + f[1] * r[1] + f[2] * r[2] + f[3] * r[3] + f[4] * r[4]
 
 
 def _integral(v):
@@ -564,15 +541,12 @@ def _clip(forms, lo, hi):
 
 def _bary_forms(o, d, pre: TetraPre):
     """The four vertex coordinates of o + tau d in the basis of pre's
-    tetrahedron, as forms (c0, c1) in tau, all times one positive factor.
-    Meaningful when o and d lie in the supporting hyperplane, where the
-    apex coordinate is zero."""
-    rows = pre.basis_rows
-    sD = _sign(pre.basis_det)
+    tetrahedron, as forms (c0, c1) in tau, each times its own positive
+    factor (which leaves ``_clip``'s bounds unchanged).  Meaningful when o
+    and d lie in the supporting hyperplane."""
     v = _integral((*o, 1, *d, 0))
     orow, drow = v[:5], v[5:]
-    return [(sD * det5h(*rows[:i], orow, *rows[i + 1:]),
-             sD * det5h(*rows[:i], drow, *rows[i + 1:])) for i in range(4)]
+    return [(_dot5(f, orow), _dot5(f, drow)) for f in pre.forms[:4]]
 
 
 def _segment_clip_in_plane(a, b, pre: TetraPre):

@@ -14,6 +14,7 @@ from itertools import permutations
 
 from tet4d.kernel4d import (
     DegenerateDirection,
+    DegeneratePosition,
     DegenerateTetrahedron,
     Point4,
     Segment4,
@@ -22,6 +23,8 @@ from tet4d.kernel4d import (
     Triangle4,
     TrianglePre,
     _FACETS,
+    _chart2,
+    _clip,
     _dot,
     _integral,
     _sign,
@@ -29,11 +32,13 @@ from tet4d.kernel4d import (
     as_exact,
     det3,
     det4,
-    det5h,
     seg_tetra_hit,
     segment_tetra_direct,
+    tetra_edges,
+    tetra_facets,
     tetra_plane,
     tri_tri_any,
+    tri_tri_direct,
     tri_tri_hit,
 )
 
@@ -49,6 +54,41 @@ def det_perm(rows):
             p *= rows[i][perm[i]]
         total += p
     return total
+
+
+def det5h(r0, r1, r2, r3, r4):
+    """Determinant of five homogeneous rows (x, y, z, w, h).
+
+    Laplace expansion along the first two rows: each 2x2 minor of (r0, r1)
+    times the complementary 3x3 minor of (r2, r3, r4), the latter built from
+    the ten 2x2 minors of (r3, r4)."""
+    a0, a1, a2, a3, a4 = r0
+    b0, b1, b2, b3, b4 = r1
+    c0, c1, c2, c3, c4 = r2
+    d0, d1, d2, d3, d4 = r3
+    e0, e1, e2, e3, e4 = r4
+    n01 = d0 * e1 - d1 * e0
+    n02 = d0 * e2 - d2 * e0
+    n03 = d0 * e3 - d3 * e0
+    n04 = d0 * e4 - d4 * e0
+    n12 = d1 * e2 - d2 * e1
+    n13 = d1 * e3 - d3 * e1
+    n14 = d1 * e4 - d4 * e1
+    n23 = d2 * e3 - d3 * e2
+    n24 = d2 * e4 - d4 * e2
+    n34 = d3 * e4 - d4 * e3
+    return (
+        (a0 * b1 - a1 * b0) * (c2 * n34 - c3 * n24 + c4 * n23)
+        - (a0 * b2 - a2 * b0) * (c1 * n34 - c3 * n14 + c4 * n13)
+        + (a0 * b3 - a3 * b0) * (c1 * n24 - c2 * n14 + c4 * n12)
+        - (a0 * b4 - a4 * b0) * (c1 * n23 - c2 * n13 + c3 * n12)
+        + (a1 * b2 - a2 * b1) * (c0 * n34 - c3 * n04 + c4 * n03)
+        - (a1 * b3 - a3 * b1) * (c0 * n24 - c2 * n04 + c4 * n02)
+        + (a1 * b4 - a4 * b1) * (c0 * n23 - c2 * n03 + c3 * n02)
+        + (a2 * b3 - a3 * b2) * (c0 * n14 - c1 * n04 + c4 * n01)
+        - (a2 * b4 - a4 * b2) * (c0 * n13 - c1 * n03 + c3 * n01)
+        + (a3 * b4 - a4 * b3) * (c0 * n12 - c1 * n02 + c2 * n01)
+    )
 
 
 def _rref(A, b):
@@ -110,9 +150,11 @@ def point_in_triangle(pt, tri: Triangle4) -> bool:
 
 def bary_signs(pre: TetraPre, p):
     """Signs of the five affine coordinates of p in the basis (v0..v3, apex)
-    of pre's tetrahedron, relative to the basis determinant sign."""
-    ds = _sign(pre.basis_det)
-    rows = pre.basis_rows
+    of pre's tetrahedron, relative to the basis determinant sign, with
+    apex = v0 + n."""
+    v = pre.tet.vertices
+    rows = [q + (1,) for q in v] + [tuple(v[0][i] + pre.n[i] for i in range(4)) + (1,)]
+    ds = _sign(det5h(*rows))
     pr = _integral((*p, 1))
     out = []
     for i in range(5):
@@ -337,7 +379,6 @@ def pairwise_reference(tetrahedra):
     dropped, and each pair keeps its first hit, edges before faces."""
     from tet4d import rangetree as rt
     from tet4d.arrangement import PairWitness
-    from tet4d.kernel4d import tetra_edges, tetra_facets
     from tet4d.oracle import QueryMode, _canon_point
 
     tets = list(enumerate(tetrahedra))
@@ -358,6 +399,96 @@ def pairwise_reference(tetrahedra):
             if i != j and key not in found:
                 found[key] = PairWitness(key, _canon_point(w), kind)
     return [found[k] for k in sorted(found)]
+
+
+# ---------------------------------------------------------------------------
+# the contact of two tetrahedra by candidate enumeration: the reference that
+# arrangement._contact's section and clip is checked against.  Its in-plane
+# clips and memberships read a det5h basis, not TetraPre's facet forms.
+
+
+def _lerp(u, v, t):
+    return Point4(*(Fraction(u[i] + t * (v[i] - u[i])) for i in range(4)))
+
+
+def _basis_forms(o, d, pre: TetraPre):
+    """The four vertex coordinates of o + tau d as forms (c0, c1) in tau,
+    from the det5h basis (v0..v3, apex); o and d in the hyperplane."""
+    v = pre.tet.vertices
+    rows = [q + (1,) for q in v] + [tuple(v[0][i] + pre.n[i] for i in range(4)) + (1,)]
+    sd = _sign(det5h(*rows))
+    r = _integral((*o, 1, *d, 0))
+    orow, drow = r[:5], r[5:]
+    return [(sd * det5h(*rows[:i], orow, *rows[i + 1:]),
+             sd * det5h(*rows[:i], drow, *rows[i + 1:])) for i in range(4)]
+
+
+def _edge_piece(u, v, pre: TetraPre):
+    """The ends of edge (u, v) clipped to pre's closed tetrahedron."""
+    va = _dot(pre.n, u) - pre.c
+    vb = _dot(pre.n, v) - pre.c
+    if va == 0 and vb == 0:
+        clip = _clip(_basis_forms(u, _sub(v, u), pre), Fraction(0), Fraction(1))
+        return [] if clip is None else [_lerp(u, v, t) for t in clip]
+    if _sign(va) == _sign(vb):
+        return []
+    p = _lerp(u, v, Fraction(va) / (va - vb))
+    s = bary_signs(pre, p)
+    return [p] if s[4] == 0 and min(s[:4]) >= 0 else []
+
+
+def hull2_reference(pts, chart):
+    """Extreme points of pts (distinct, in one 2-plane) in cyclic order, by
+    the monotone chain in the chart coordinates; the two ends when the
+    points are collinear."""
+    i, j = chart
+    pts = sorted(pts, key=lambda p: (p[i], p[j]))
+    if len(pts) < 3:
+        return pts
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2:
+                o, a = out[-2], out[-1]
+                if (a[i] - o[i]) * (p[j] - o[j]) - (a[j] - o[j]) * (p[i] - o[i]) > 0:
+                    break
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(reversed(pts))
+
+
+def contact_reference(ti: Tetrahedron4, tj: Tetrahedron4):
+    """The vertices of ti ^ tj in arrangement._contact's order, or None when
+    both lie in one hyperplane.  Every vertex of ti ^ tj is an edge of one
+    tetrahedron clipped to the other, or the one point where two 2-faces in
+    general position meet, so the candidates are the edge clips and the 16
+    face-pair points, and the vertices are their extreme points."""
+    pre_i, pre_j = TetraPre(ti), TetraPre(tj)
+    minor = _chart2(pre_i.n, pre_j.n)
+    if minor is None:
+        return None if _dot(pre_i.n, tj.v0) == pre_i.c else []
+    chart = tuple(k for k in range(4) if k not in minor)
+    pts = {}
+    for t, pre_other in ((ti, pre_j), (tj, pre_i)):
+        for (u, v) in tetra_edges(t):
+            for p in _edge_piece(u, v, pre_other):
+                pts[tuple(p)] = p
+    faces_j = [Triangle4(*f) for f in tetra_facets(tj)]
+    for f in tetra_facets(ti):
+        for fj in faces_j:
+            try:
+                w = tri_tri_direct(Triangle4(*f), fj)
+            except DegeneratePosition:
+                # the face planes meet at most in a line of the common
+                # 2-plane, whose ends are ends of clipped edges
+                continue
+            if w is not None:
+                w = Point4(*map(Fraction, w))
+                pts[tuple(w)] = w
+    return hull2_reference(list(pts.values()), chart)
 
 
 # ---------------------------------------------------------------------------

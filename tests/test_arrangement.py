@@ -1,3 +1,4 @@
+import gc
 import itertools
 import random
 
@@ -5,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import brute_k_subsets, pairwise_reference, simplex_meet_vertices
+from _oracles import brute_k_subsets, contact_reference, pairwise_reference, simplex_meet_vertices
 from conftest import cluster_tetra, rnd_tetra
-from tet4d import arrangement, oracle
+from tet4d import arrangement, kernel4d, oracle
 from tet4d import rangetree as rt
 from tet4d.arrangement import (
     intersection_polygon,
@@ -477,3 +478,161 @@ def test_shared_vertices_match_oracle_and_brute_force(tets):
     except GeometryError:
         return  # dependent hyperplanes: the counts are not defined
     assert k_counts(tets) == expected == _brute_counts(tets)
+
+
+# ---------------------------------------------------------------------------
+# contacts by section and clip
+
+
+def _deep_report_clusters(seed):
+    """The arrangement scene of a deep-report benchmark run with this seed:
+    four generated clusters of five, 100 apart along x."""
+    tets = []
+    for k in range(4):
+        scene = generate("TETRAHEDRA", 5, 4, 1000 * seed + 10 + k, spread=12, style="cluster")
+        tets += [Tetrahedron4(*(Point4(p.x + 100 * k, p.y, p.z, p.w) for p in t.vertices))
+                 for t in decode_objects(scene)]
+    return tets
+
+
+def _typed_contact(verts):
+    return None if verts is None else [tuple((type(c), c) for c in p) for p in verts]
+
+
+def _contact_pair(ti, tj):
+    return arrangement._contact(ti, tj, TetraPre(ti), TetraPre(tj))
+
+
+_rational = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+_rational_point = st.tuples(*(_rational for _ in range(4)))
+
+
+@st.composite
+def _rational_pair(draw):
+    """Two tetrahedra with rational vertices; tj's vertices average to ti's
+    centroid unless the draw says otherwise, so most pairs meet."""
+    ti = draw(st.lists(_rational_point, min_size=4, max_size=4))
+    tj = draw(st.lists(_rational_point, min_size=3, max_size=3))
+    if draw(st.booleans()):
+        tj.append(tuple(sum(p[c] for p in ti) - sum(p[c] for p in tj) for c in range(4)))
+    else:
+        tj.append(draw(_rational_point))
+    try:
+        return _tet(*ti), _tet(*tj)
+    except DegenerateTetrahedron:
+        return None
+
+
+class TestSectionAndClip:
+    """_contact cuts ti's section by tj's hyperplane with tj's four facet
+    forms; contact_reference enumerates edge clips and face-pair points."""
+
+    def test_equals_reference_on_scenes(self):
+        rng = random.Random(0x5EC7)
+        scenes = [_deep_report_clusters(seed) for seed in (1, 2, 3)]
+        scenes += [_lattice_scene(rng) for _ in range(300)]
+        sizes = []
+        for tets in scenes:
+            for ti, tj in itertools.permutations(tets, 2):
+                got = _contact_pair(ti, tj)
+                assert _typed_contact(got) == _typed_contact(contact_reference(ti, tj))
+                sizes.append(-1 if got is None else len(got))
+        # polygons, segments, points, misses and shared hyperplanes all occur
+        assert {-1, 0, 1, 2, 3, 4, 5, 6} <= set(sizes)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_rational_pair())
+    def test_equals_reference_on_rational_vertices(self, pair):
+        if pair is not None:
+            ti, tj = pair
+            for a, b in ((ti, tj), (tj, ti)):
+                assert _typed_contact(_contact_pair(a, b)) == _typed_contact(contact_reference(a, b))
+
+    # a: the unit simplex in w = 0; each other tetrahedron meets it as named
+    _A = _tet((0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0))
+    HAND_BUILT = {
+        "edge in the other hyperplane": (A, B, 5),
+        "edge in the other hyperplane, clip empty": (T4, T5, 4),
+        "vertex touch": (_A, _tet((0, 0, 0, 0), (-1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, -1)), 1),
+        "segment touch": (_A, _tet((0, 0, 0, 0), (1, 0, 0, 0), (0, -1, 0, 0), (0, 0, 0, 1)), 2),
+        "one hyperplane": (_A, _tet((1, 0, 0, 0), (3, 0, 0, 0), (1, 2, 0, 0), (1, 0, 2, 0)), None),
+        "parallel hyperplanes": (_A, _tet((0, 0, 0, 1), (1, 0, 0, 1), (0, 1, 0, 1), (0, 0, 1, 1)), 0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built_contacts(self, name):
+        ti, tj, size = self.HAND_BUILT[name]
+        for a, b in ((ti, tj), (tj, ti)):
+            got = _contact_pair(a, b)
+            assert (None if got is None else len(got)) == size
+            assert _typed_contact(got) == _typed_contact(contact_reference(a, b))
+            if got:
+                assert set(map(tuple, got)) == simplex_meet_vertices([a.vertices, b.vertices])
+
+
+class TestExactWorkCounts:
+    """k_counts reads each contact, chord and clip off integer rows: no
+    direct solve (and det5h is no longer in the package), and each TetraPre
+    builds its forms once."""
+
+    def test_no_solves_in_the_reduction(self, monkeypatch):
+        calls = {"linsolve": 0, "tri_tri_direct": 0}
+        depth = [0]
+
+        def counted(name):
+            real = getattr(kernel4d, name)
+
+            def f(*args):
+                calls[name] += depth[0] > 0
+                return real(*args)
+            return f
+
+        def inside(real):
+            def f(*args):
+                depth[0] += 1
+                try:
+                    return real(*args)
+                finally:
+                    depth[0] -= 1
+            return f
+
+        for name in calls:
+            monkeypatch.setattr(kernel4d, name, counted(name))
+        monkeypatch.setattr(arrangement, "per_tetra_reduction", inside(arrangement.per_tetra_reduction))
+        monkeypatch.setattr(arrangement, "_contact", inside(arrangement._contact))
+        k3 = 0
+        for tets in [_deep_report_clusters(seed) for seed in (1, 2, 3)] + _seeded_scenes()[:4]:
+            k3 += k_counts(tets)[1]
+        assert k3 > 0 and calls == {"linsolve": 0, "tri_tri_direct": 0}
+
+    def test_forms_built_once_and_held_by_their_tetrapre(self, monkeypatch):
+        built = []
+        real = kernel4d._affine_forms
+
+        def forms(pre):
+            out = real(pre)
+            built.append((pre, out))
+            return out
+
+        monkeypatch.setattr(kernel4d, "_affine_forms", forms)
+        tets = _deep_report_clusters(1)
+        k_counts(tets)
+        assert built
+        assert len({id(pre) for pre, _out in built}) == len(built)
+        assert all(pre._forms is out for pre, out in built)
+        built.clear()
+        count = [0]
+
+        def counted(pre):
+            count[0] += 1
+            return real(pre)
+
+        def live():
+            gc.collect()
+            return sum(type(o) is TetraPre for o in gc.get_objects())
+
+        # no cache outside the TetraPre keeps one alive across calls
+        monkeypatch.setattr(kernel4d, "_affine_forms", counted)
+        before = live()
+        k_counts(tets)
+        assert count[0] > 0 and live() == before

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from _oracles import (
     _tri_bary2,
     bary_signs,
+    det5h,
     det_perm,
     facet_orientations,
     lp_seg_tetra_feasible,
@@ -31,7 +32,6 @@ from tet4d.kernel4d import (
     Triangle4,
     TrianglePre,
     det4,
-    det5h,
     dual10,
     generic_shear,
     hyperplane_of,
