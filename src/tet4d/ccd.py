@@ -18,14 +18,15 @@ taken at time 0, the two overlap at time t iff
 So each axis cuts the window to a closed interval, or empties it (d = 0 is
 a static test).  The collision times are the intersection of those
 intervals, and its left end is the exact first contact time t*.  The
-arithmetic is integer dot products plus one rational comparison per axis.
-The cross product of parallel edges is zero; it projects everything to 0
-and cuts nothing.
+arithmetic is integer dot products, and each cut keeps its bound as a pair
+(num, den), den > 0, compared by cross-multiplication.  The cross product
+of parallel edges is zero; it projects everything to 0 and cuts nothing.
 
 The contact point at t* comes from clipping each edge of one tetrahedron by
 the other's four outward halfspaces, then the reverse.  Every vertex of the
 intersection of two tetrahedra lies on an edge of one of them, so the first
-nonempty clip gives a point.
+nonempty clip gives a point.  The clip is homogeneous as well: the edge
+parameter is an integer pair, and a Fraction is built only for the point.
 
 The lifted 4D prism and its feature scan live on in ``tests/_oracles.py``,
 as the independent reference that the tests compare this module against.
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .kernel4d import Point4, Tetrahedron4, _clip, as_exact, det3, tetra_tetra_intersect
+from .kernel4d import Point4, Tetrahedron4, as_exact, det3, tetra_tetra_intersect
 from .oracle import IntersectionReport, QueryMode
 
 
@@ -106,7 +107,9 @@ class Prism4:
     """A moving tetrahedron as the swept separating-axis test reads it.
 
     ``bbox`` is the closed box (lo x, y, z, t, hi x, y, z, t) of the swept
-    prism and ``window`` its time window as (num0, den0, num1, den1).
+    prism and ``window`` its time window as (num0, den0, num1, den1).  At
+    time t the tetrahedron is its time-0 shape moved by t u, so per axis k
+    lo_k = min_v v_k + min(t0 u_k, t1 u_k), and hi_k the same with max.
     ``faces`` holds, per face, (n0, n1, n2, lo, hi, n.u): the outward normal
     n and the tetrahedron's projection [lo, hi] onto it at time 0.
     ``edges`` holds, per edge e, the four vectors (v x e for one end v and
@@ -123,10 +126,12 @@ class Prism4:
         t0, t1 = Fraction(mt.t0), Fraction(mt.t1)
         self.verts, self.vel = vs, u
         self.window = (t0.numerator, t0.denominator, t1.numerator, t1.denominator)
-        ends = [tuple(as_exact(v[k] + t * u[k]) for k in range(3)) + (as_exact(t),)
-                for t in (t0, t1) for v in vs]
-        self.bbox = (tuple(min(p[d] for p in ends) for d in range(4))
-                     + tuple(max(p[d] for p in ends) for d in range(4)))
+        s0, s1 = as_exact(t0), as_exact(t1)
+        sweep = [(s0 * c, s1 * c) for c in u]
+        self.bbox = (tuple(as_exact(min(v[k] for v in vs) + min(sweep[k])) for k in range(3))
+                     + (s0,)
+                     + tuple(as_exact(max(v[k] for v in vs) + max(sweep[k])) for k in range(3))
+                     + (s1,))
         faces = []
         for i, j, k, m in _FACES:
             a = vs[i]
@@ -144,36 +149,6 @@ def lift(mt: MovingTetrahedron) -> Prism4:
     return Prism4(mt)
 
 
-def _axis_gaps(pa: Prism4, pb: Prism4):
-    """(minB - maxA, maxB - minA, (uA - uB) . L) for every candidate axis L,
-    with the projections taken at time 0: face normals first, then the
-    edge x edge products."""
-    (a0, a1, a2), (b0, b1, b2) = pa.vel, pb.vel
-    qs = pb.verts
-    for n0, n1, n2, lo, hi, nu in pa.faces:
-        x = [n0 * q[0] + n1 * q[1] + n2 * q[2] for q in qs]
-        yield min(x) - hi, max(x) - lo, nu - (n0 * b0 + n1 * b1 + n2 * b2)
-    ps = pa.verts
-    for n0, n1, n2, lo, hi, nu in pb.faces:
-        x = [n0 * p[0] + n1 * p[1] + n2 * p[2] for p in ps]
-        yield lo - max(x), hi - min(x), n0 * a0 + n1 * a1 + n2 * a2 - nu
-    # L = e x f: L.p = f.(p x e) for p in A, and L.q = -e.(q x f) for q in B
-    for (e0, e1, e2), ca, ck, cm, cu in pa.edges:
-        for (f0, f1, f2), da, dk, dm, du in pb.edges:
-            x = f0 * ca[0] + f1 * ca[1] + f2 * ca[2]
-            y = f0 * ck[0] + f1 * ck[1] + f2 * ck[2]
-            z = f0 * cm[0] + f1 * cm[1] + f2 * cm[2]
-            lo_a, hi_a = (x, y) if x < y else (y, x)
-            lo_a, hi_a = (z if z < lo_a else lo_a), (z if z > hi_a else hi_a)
-            x = e0 * da[0] + e1 * da[1] + e2 * da[2]
-            y = e0 * dk[0] + e1 * dk[1] + e2 * dk[2]
-            z = e0 * dm[0] + e1 * dm[1] + e2 * dm[2]
-            lo_nb, hi_nb = (x, y) if x < y else (y, x)
-            lo_nb, hi_nb = (z if z < lo_nb else lo_nb), (z if z > hi_nb else hi_nb)
-            yield (-hi_nb - hi_a, -lo_nb - lo_a,
-                   f0 * cu[0] + f1 * cu[1] + f2 * cu[2] + e0 * du[0] + e1 * du[1] + e2 * du[2])
-
-
 def prism_pair_intersect(pa: Prism4, pb: Prism4) -> Optional[Point4]:
     """The point (x, y, z, t*) of first contact of two moving tetrahedra,
     with t* the earliest time of their common window at which they meet,
@@ -188,61 +163,110 @@ def prism_pair_intersect(pa: Prism4, pb: Prism4) -> Optional[Point4]:
     bn0, bd0, bn1, bd1 = pb.window
     ln, ld = (an0, ad0) if an0 * bd0 >= bn0 * ad0 else (bn0, bd0)
     hn, hd = (an1, ad1) if an1 * bd1 <= bn1 * ad1 else (bn1, bd1)
-    for glo, ghi, d in _axis_gaps(pa, pb):
-        if d > 0:      # glo/d <= t <= ghi/d
-            if glo * ld > ln * d:
-                ln, ld = glo, d
-            if ghi * hd < hn * d:
-                hn, hd = ghi, d
-        elif d < 0:    # -ghi/-d <= t <= -glo/-d
-            d = -d
-            if -ghi * ld > ln * d:
-                ln, ld = -ghi, d
-            if -glo * hd < hn * d:
-                hn, hd = -glo, d
-        elif glo > 0 or ghi < 0:
-            return None
-        else:
-            continue
-        if ln * hd > hn * ld:
-            return None
+    # the face normals of A, then of B.  Along a normal n of P, with Q the
+    # other tetrahedron, d t lies in [min n.Q - hi, max n.Q - lo] with
+    # d = n.uP - n.uQ; for P = B that is A's gap interval negated with d,
+    # which cuts the window to the same bound, with the same (num, den)
+    for faces, (u0, u1, u2), (q0, q1, q2, q3) in ((pa.faces, pb.vel, pb.verts),
+                                                  (pb.faces, pa.vel, pa.verts)):
+        for n0, n1, n2, lo, hi, nu in faces:
+            x0 = n0 * q0[0] + n1 * q0[1] + n2 * q0[2]
+            x1 = n0 * q1[0] + n1 * q1[1] + n2 * q1[2]
+            x2 = n0 * q2[0] + n1 * q2[1] + n2 * q2[2]
+            x3 = n0 * q3[0] + n1 * q3[1] + n2 * q3[2]
+            lq, hq = (x0, x1) if x0 < x1 else (x1, x0)
+            lq, hq = (x2 if x2 < lq else lq), (x2 if x2 > hq else hq)
+            glo, ghi = (x3 if x3 < lq else lq) - hi, (x3 if x3 > hq else hq) - lo
+            d = nu - n0 * u0 - n1 * u1 - n2 * u2
+            if d > 0:      # glo/d <= t <= ghi/d
+                if glo * ld > ln * d:
+                    ln, ld = glo, d
+                if ghi * hd < hn * d:
+                    hn, hd = ghi, d
+            elif d < 0:    # -ghi/-d <= t <= -glo/-d
+                if ghi * ld < ln * d:
+                    ln, ld = -ghi, -d
+                if glo * hd > hn * d:
+                    hn, hd = -glo, -d
+            elif glo > 0 or ghi < 0:
+                return None
+            else:
+                continue
+            if ln * hd > hn * ld:
+                return None
+    # L = e x f: L.p = f.(p x e) for p in A, and L.q = -e.(q x f) for q in B
+    for (e0, e1, e2), ca, ck, cm, cu in pa.edges:
+        for (f0, f1, f2), da, dk, dm, du in pb.edges:
+            x = f0 * ca[0] + f1 * ca[1] + f2 * ca[2]
+            y = f0 * ck[0] + f1 * ck[1] + f2 * ck[2]
+            z = f0 * cm[0] + f1 * cm[1] + f2 * cm[2]
+            lo_a, hi_a = (x, y) if x < y else (y, x)
+            lo_a, hi_a = (z if z < lo_a else lo_a), (z if z > hi_a else hi_a)
+            x = e0 * da[0] + e1 * da[1] + e2 * da[2]
+            y = e0 * dk[0] + e1 * dk[1] + e2 * dk[2]
+            z = e0 * dm[0] + e1 * dm[1] + e2 * dm[2]
+            lo_b, hi_b = (x, y) if x < y else (y, x)
+            glo = -(z if z > hi_b else hi_b) - hi_a
+            ghi = -(z if z < lo_b else lo_b) - lo_a
+            d = f0 * cu[0] + f1 * cu[1] + f2 * cu[2] + e0 * du[0] + e1 * du[1] + e2 * du[2]
+            if d > 0:
+                if glo * ld > ln * d:
+                    ln, ld = glo, d
+                if ghi * hd < hn * d:
+                    hn, hd = ghi, d
+            elif d < 0:
+                if ghi * ld < ln * d:
+                    ln, ld = -ghi, -d
+                if glo * hd > hn * d:
+                    hn, hd = -glo, -d
+            elif glo > 0 or ghi < 0:
+                return None
+            else:
+                continue
+            if ln * hd > hn * ld:
+                return None
     return _contact_point(pa, pb, ln, ld)
 
 
 def _contact_point(pa: Prism4, pb: Prism4, tn, td) -> Point4:
     """A point shared by both tetrahedra at time t = tn/td, where they are
     known to meet.  Coordinates are scaled by td so that they stay integers
-    for integer input."""
-    scaled = [[tuple(td * v[k] + tn * p.vel[k] for k in range(3)) for v in p.verts]
-              for p in (pa, pb)]
-    for (src, dst) in ((0, 1), (1, 0)):
-        vs, other = scaled[src], (pa, pb)[dst]
-        planes = [(f[:3], td * f[4] + tn * f[5]) for f in other.faces]
+    for integer input, and each edge parameter s is kept as sn/sd, sd > 0."""
+    for this, other in ((pa, pb), (pb, pa)):
+        u0, u1, u2 = this.vel
+        vs = [(td * x + tn * u0, td * y + tn * u1, td * z + tn * u2) for x, y, z in this.verts]
+        planes = [(n0, n1, n2, td * hi + tn * nu) for n0, n1, n2, _lo, hi, nu in other.faces]
+        # c - n.v for every vertex v and halfspace n.x <= c of the other
+        slack = [[c - n0 * x - n1 * y - n2 * z for n0, n1, n2, c in planes] for x, y, z in vs]
         for i, j, _k, _m in _EDGES:
-            p, q = vs[i], vs[j]
-            # the least s in [0, 1] with p + s (q - p) in every halfspace
-            # n.x <= c: one that holds neither end rules the edge out, and
-            # one that holds both ends cuts nothing
-            ends = [(c - _dot3(n, p), c - _dot3(n, q)) for n, c in planes]
-            if any(fp < 0 and fq < 0 for fp, fq in ends):
-                continue
-            clip = _clip([(fp, fq - fp) for fp, fq in ends if fp < 0 or fq < 0],
-                         Fraction(0), Fraction(1))
-            if clip is not None:
-                s = clip[0]
-                return Point4(*((p[k] + s * (q[k] - p[k])) / td for k in range(3)),
-                              Fraction(tn, td))
+            # the least s in [sn/sd, hn/hd] = [0, 1] with p + s (q - p) in
+            # every halfspace: one that holds neither end rules the edge
+            # out, and one that holds both ends cuts nothing
+            sn, sd, hn, hd = 0, 1, 1, 1
+            for fp, fq in zip(slack[i], slack[j]):
+                if fp < 0:
+                    if fq < 0:
+                        break
+                    if -fp * sd > sn * (fq - fp):      # s >= -fp / (fq - fp)
+                        sn, sd = -fp, fq - fp
+                elif fq < 0 and fp * hd < hn * (fp - fq):  # s <= fp / (fp - fq)
+                    hn, hd = fp, fp - fq
+            else:
+                if sn * hd <= hn * sd:
+                    p, q = vs[i], vs[j]
+                    return Point4(*(Fraction(p[k] * sd + sn * (q[k] - p[k]), sd * td)
+                                    for k in range(3)), Fraction(tn, td))
     raise AssertionError("no contact point at the first contact time")
 
 
 def _hits(prisms: Sequence[Prism4]):
-    out = []
+    """The hits (i, j, first contact point) over all pairs i < j, in (i, j)
+    order, each pair tested when the hit before it has been taken."""
     for i in range(len(prisms)):
         for j in range(i + 1, len(prisms)):
             w = prism_pair_intersect(prisms[i], prisms[j])
             if w is not None:
-                out.append((i, j, w))
-    return out
+                yield i, j, w
 
 
 def ccd_oracle_pairs(prisms: Sequence[Prism4]) -> List[Tuple[int, int]]:
@@ -252,11 +276,14 @@ def ccd_oracle_pairs(prisms: Sequence[Prism4]) -> List[Tuple[int, int]]:
 
 def detect_collisions(scene: Sequence[MovingTetrahedron], mode: QueryMode) -> IntersectionReport:
     """Pairs of moving tetrahedra that meet inside their common time window,
-    by the pair test over all pairs.  A REPORT witness is the point of first
-    contact (x, y, z, t*), t* the earliest time at which the pair meets."""
+    by the pair test over all pairs; DETECT stops at the first hit.  A REPORT
+    witness is the point of first contact (x, y, z, t*), t* the earliest
+    time at which the pair meets."""
     hits = _hits([lift(mt) for mt in scene])
     if mode == QueryMode.DETECT:
-        return IntersectionReport(bool(hits), 1 if hits else 0, [])
+        hit = next(hits, None) is not None
+        return IntersectionReport(hit, int(hit), [])
+    hits = list(hits)
     if mode == QueryMode.COUNT:
         return IntersectionReport(bool(hits), len(hits), [])
     return IntersectionReport(bool(hits), len(hits), hits)

@@ -4,9 +4,10 @@ These deliberately avoid the package's own code paths: determinants by
 permutation expansion, triangle membership by a 2x2 solve in the triangle's
 plane, calibration signs by an interior probe line (the package uses their
 closed form), segment/tetrahedron feasibility by a direct rational solve of
-the barycentric system.  The CCD reference at the end is the exception: it
-runs the package's 4D predicates on lifted prisms, which CCD's own pair test
-does not use.
+the barycentric system.  The CCD references at the end are the exception.
+The lifted prism runs the package's 4D predicates, which CCD's own pair test
+does not use, and ``swept_sat_reference`` is a frozen copy of that pair test
+as it was before it ran in integers, with Fraction clips.
 """
 
 from fractions import Fraction
@@ -595,3 +596,126 @@ def lifted_pairs(scene):
     prisms = [LiftedPrism(mt) for mt in scene]
     return [(i, j) for i in range(len(prisms)) for j in range(i + 1, len(prisms))
             if lifted_prism_meet(prisms[i], prisms[j]) is not None]
+
+
+# ---------------------------------------------------------------------------
+# the swept separating-axis pair test as it was before tet4d.ccd ran it in
+# integers: the box of the 8 end vertices, the axes as a generator of
+# (gap lo, gap hi, d) triples, and the contact point by Fraction clips.  The
+# pair test must return exactly this, typed per coordinate.
+
+_SAT_FACES = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))
+_SAT_EDGES = ((0, 1, 2, 3), (0, 2, 1, 3), (0, 3, 1, 2), (1, 2, 0, 3), (1, 3, 0, 2), (2, 3, 0, 1))
+
+
+def _cross3(a, b):
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b):
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _sub3(a, b):
+    return (a[0] - b[0], a[1] - b[1], a[2] - b[2])
+
+
+def swept_box_reference(mt):
+    """The closed box (lo x, y, z, t, hi x, y, z, t) of the 8 end vertices
+    of a moving tetrahedron's lifted prism."""
+    vs = [tuple(as_exact(c) for c in v) for v in mt.vertices]
+    u = [as_exact(c) for c in mt.velocity]
+    ends = [tuple(as_exact(v[k] + t * u[k]) for k in range(3)) + (as_exact(t),)
+            for t in (Fraction(mt.t0), Fraction(mt.t1)) for v in vs]
+    return (tuple(min(p[d] for p in ends) for d in range(4))
+            + tuple(max(p[d] for p in ends) for d in range(4)))
+
+
+class _SatPrism:
+    def __init__(self, mt):
+        vs = tuple(tuple(as_exact(c) for c in v) for v in mt.vertices)
+        u = tuple(as_exact(c) for c in mt.velocity)
+        t0, t1 = Fraction(mt.t0), Fraction(mt.t1)
+        self.verts, self.vel = vs, u
+        self.window = (t0.numerator, t0.denominator, t1.numerator, t1.denominator)
+        self.bbox = swept_box_reference(mt)
+        faces = []
+        for i, j, k, m in _SAT_FACES:
+            a = vs[i]
+            n = _cross3(_sub3(vs[j], a), _sub3(vs[k], a))
+            if _dot3(n, _sub3(vs[m], a)) > 0:
+                n = (-n[0], -n[1], -n[2])
+            faces.append(n + (_dot3(n, vs[m]), _dot3(n, a), _dot3(n, u)))
+        self.faces = tuple(faces)
+        self.edges = tuple(
+            (e, _cross3(vs[i], e), _cross3(vs[k], e), _cross3(vs[m], e), _cross3(u, e))
+            for i, j, k, m in _SAT_EDGES for e in (_sub3(vs[j], vs[i]),))
+
+
+def _sat_axis_gaps(pa, pb):
+    (a0, a1, a2), (b0, b1, b2) = pa.vel, pb.vel
+    qs = pb.verts
+    for n0, n1, n2, lo, hi, nu in pa.faces:
+        x = [n0 * q[0] + n1 * q[1] + n2 * q[2] for q in qs]
+        yield min(x) - hi, max(x) - lo, nu - (n0 * b0 + n1 * b1 + n2 * b2)
+    ps = pa.verts
+    for n0, n1, n2, lo, hi, nu in pb.faces:
+        x = [n0 * p[0] + n1 * p[1] + n2 * p[2] for p in ps]
+        yield lo - max(x), hi - min(x), n0 * a0 + n1 * a1 + n2 * a2 - nu
+    for e, ca, ck, cm, cu in pa.edges:
+        for f, da, dk, dm, du in pb.edges:
+            xa = [_dot3(f, c) for c in (ca, ck, cm)]
+            xb = [_dot3(e, c) for c in (da, dk, dm)]
+            yield -max(xb) - max(xa), -min(xb) - min(xa), _dot3(f, cu) + _dot3(e, du)
+
+
+def _sat_contact_point(pa, pb, tn, td):
+    scaled = [[tuple(td * v[k] + tn * p.vel[k] for k in range(3)) for v in p.verts]
+              for p in (pa, pb)]
+    for (src, dst) in ((0, 1), (1, 0)):
+        vs, other = scaled[src], (pa, pb)[dst]
+        planes = [(f[:3], td * f[4] + tn * f[5]) for f in other.faces]
+        for i, j, _k, _m in _SAT_EDGES:
+            p, q = vs[i], vs[j]
+            ends = [(c - _dot3(n, p), c - _dot3(n, q)) for n, c in planes]
+            if any(fp < 0 and fq < 0 for fp, fq in ends):
+                continue
+            clip = _clip([(fp, fq - fp) for fp, fq in ends if fp < 0 or fq < 0],
+                         Fraction(0), Fraction(1))
+            if clip is not None:
+                s = clip[0]
+                return Point4(*((p[k] + s * (q[k] - p[k])) / td for k in range(3)),
+                              Fraction(tn, td))
+    raise AssertionError("no contact point at the first contact time")
+
+
+def swept_sat_reference(mt_a, mt_b):
+    """The point (x, y, z, t*) of first contact of two moving tetrahedra, or
+    None, as tet4d.ccd.prism_pair_intersect must return it."""
+    pa, pb = _SatPrism(mt_a), _SatPrism(mt_b)
+    a, b = pa.bbox, pb.bbox
+    if any(a[4 + d] < b[d] or b[4 + d] < a[d] for d in range(4)):
+        return None
+    an0, ad0, an1, ad1 = pa.window
+    bn0, bd0, bn1, bd1 = pb.window
+    ln, ld = (an0, ad0) if an0 * bd0 >= bn0 * ad0 else (bn0, bd0)
+    hn, hd = (an1, ad1) if an1 * bd1 <= bn1 * ad1 else (bn1, bd1)
+    for glo, ghi, d in _sat_axis_gaps(pa, pb):
+        if d > 0:
+            if glo * ld > ln * d:
+                ln, ld = glo, d
+            if ghi * hd < hn * d:
+                hn, hd = ghi, d
+        elif d < 0:
+            d = -d
+            if -ghi * ld > ln * d:
+                ln, ld = -ghi, d
+            if -glo * hd < hn * d:
+                hn, hd = -glo, d
+        elif glo > 0 or ghi < 0:
+            return None
+        else:
+            continue
+        if ln * hd > hn * ld:
+            return None
+    return _sat_contact_point(pa, pb, ln, ld)

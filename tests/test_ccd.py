@@ -3,7 +3,15 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from _oracles import LiftedPrism, lifted_pairs, lifted_prism_meet, simplex_meet_vertices
+from _oracles import (
+    LiftedPrism,
+    lifted_pairs,
+    lifted_prism_meet,
+    simplex_meet_vertices,
+    swept_box_reference,
+    swept_sat_reference,
+)
+from tet4d import ccd
 from tet4d.ccd import (
     MovingTetrahedron,
     collision_verified_at,
@@ -29,6 +37,29 @@ def rnd_moving(rng, crange=6, spread=4, vmax=3):
             return MovingTetrahedron(vs, vel, F(0), F(1))
         except ValueError:
             continue
+
+
+def rnd_rational_moving(rng, crange=12, spread=9, vmax=6):
+    """Vertices and velocity with denominators 1-3, some velocity components
+    zero, and a window that may start, or end, before 0."""
+    def q(k):
+        return F(rng.randint(-k, k), rng.randint(1, 3))
+
+    while True:
+        c = [q(crange) for _ in range(3)]
+        vs = tuple(tuple(c[k] + q(spread) for k in range(3)) for _ in range(4))
+        vel = tuple(q(vmax) if rng.random() < 0.7 else 0 for _ in range(3))
+        t0 = F(rng.randint(-6, 2), rng.randint(1, 3))
+        try:
+            return MovingTetrahedron(vs, vel, t0, t0 + F(rng.randint(1, 6), rng.randint(1, 3)))
+        except ValueError:
+            continue
+
+
+def typed(w):
+    """A witness with the type of each coordinate, so that 1 and
+    Fraction(1) differ."""
+    return None if w is None else tuple((type(c), c) for c in w)
 
 
 def assert_first_contact(scene, i, j, w):
@@ -124,13 +155,31 @@ class TestEquivalence:
         times = {frozenset((perm.index(i), perm.index(j))): w.w for (i, j, w) in rep.pairs}
         assert {frozenset((i, j)): w.w for (i, j, w) in rep2.pairs} == times
 
-    def test_modes_consistent(self, rng):
+    def test_modes_consistent(self, rng, monkeypatch):
         scene = [rnd_moving(rng) for _ in range(10)]
         c = detect_collisions(scene, QueryMode.COUNT)
         r = detect_collisions(scene, QueryMode.REPORT)
         d = detect_collisions(scene, QueryMode.DETECT)
         assert d.detected == (c.count > 0) == bool(r.pairs)
         assert c.count == len(r.pairs)
+        # with pair (0, 1) a hit, DETECT stops there and REPORT tests all
+        scene[1] = scene[0]
+        calls = []
+        leaf = ccd.prism_pair_intersect
+
+        def counting(pa, pb):
+            calls.append((pa.mt, pb.mt))
+            return leaf(pa, pb)
+
+        monkeypatch.setattr(ccd, "prism_pair_intersect", counting)
+        per_mode = {}
+        for mode in (QueryMode.DETECT, QueryMode.COUNT, QueryMode.REPORT):
+            calls.clear()
+            rep = detect_collisions(scene, mode)
+            per_mode[mode] = len(calls)
+            assert rep.detected and rep.count >= 1
+        assert per_mode[QueryMode.DETECT] == 1
+        assert per_mode[QueryMode.COUNT] == per_mode[QueryMode.REPORT] == 10 * 9 // 2
 
     def test_size_above_old_threshold(self):
         # a scene above 64 tetrahedra, where every pair still takes the
@@ -268,3 +317,44 @@ class TestSweptSat:
         assert (w is None) == (not meet)
         if w is not None:
             assert w.w == min(p[3] for p in meet)
+
+
+class TestIntegerPairTest:
+    """The pair test equals the frozen Fraction-clip reference, typed per
+    coordinate, and the swept box equals the box of the 8 end vertices."""
+
+    def _assert_scene(self, scene):
+        prisms = [lift(mt) for mt in scene]
+        hits = 0
+        for i in range(len(scene)):
+            for j in range(i + 1, len(scene)):
+                w = prism_pair_intersect(prisms[i], prisms[j])
+                assert typed(w) == typed(swept_sat_reference(scene[i], scene[j])), (i, j)
+                hits += w is not None
+        return hits
+
+    def test_equals_reference_on_dense_scenes(self):
+        for seed in (1, 2, 3):
+            scene = decode_objects(generate("MOVING_TETRAHEDRA", 64, 6, seed, spread=4))
+            assert self._assert_scene(scene) > 100
+
+    def test_equals_reference_on_rational_scenes(self, rng):
+        hits = 0
+        for _ in range(10):
+            hits += self._assert_scene([rnd_rational_moving(rng) for _ in range(14)])
+        assert hits > 20
+
+    @settings(max_examples=150, deadline=None)
+    @given(moving_pairs())
+    def test_equals_reference_on_generated_contacts(self, pair):
+        a, b = pair
+        for x, y in ((a, b), (b, a)):
+            assert typed(prism_pair_intersect(lift(x), lift(y))) == typed(swept_sat_reference(x, y))
+
+    def test_box_is_box_of_end_vertices(self, rng):
+        scene = [rnd_rational_moving(rng) for _ in range(60)]
+        scene.append(MovingTetrahedron(UNIT, (0, F(-1, 2), 0), F(-3), F(-1, 3)))
+        assert any(mt.t1 < 0 for mt in scene) and any(0 in mt.velocity for mt in scene)
+        for mt in scene:
+            box = lift(mt).bbox
+            assert typed(box) == typed(swept_box_reference(mt))
