@@ -498,7 +498,10 @@ def segment_tetra_predicate(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre
     """Six-sign test for e meeting t, valid in generic position only.
 
     Raises DegeneratePosition whenever a needed sub-sign is ZERO; callers
-    fall back to segment_tetra_direct.
+    fall back to segment_tetra_direct.  A zero facet sign is not needed
+    when a strict + sits beside a strict -: the line then misses the
+    tetrahedron's interior and boundary alike, which is
+    segment_tetra_direct's rule for a segment that crosses the hyperplane.
     """
     pre = pre or TetraPre(t)
     sa = _sign(_dot(pre.n, e.a) - pre.c)
@@ -507,14 +510,11 @@ def segment_tetra_predicate(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre
         raise DegeneratePosition("endpoint on the supporting hyperplane")
     if sa == sb:
         return False
-    first = 0
-    for s in _facet_signs(e.a, e.b, pre):
-        if s == 0:
-            raise DegeneratePosition("line meets a facet 2-plane")
-        if first == 0:
-            first = s
-        elif s != first:
-            return False
+    sigs = _facet_signs(e.a, e.b, pre)
+    if 1 in sigs and -1 in sigs:
+        return False
+    if 0 in sigs:
+        raise DegeneratePosition("line meets a facet 2-plane")
     return True
 
 
@@ -864,16 +864,29 @@ def line_2flat_meet(line: Segment4, flat) -> Optional[Point4]:
 # tetra vs tetra (used by CCD and as an oracle primitive)
 
 
+def _off_plane(pre: TetraPre, vertices) -> bool:
+    """All of `vertices` strictly on one side of pre's hyperplane."""
+    sides = [_dot(pre.n, v) - pre.c for v in vertices]
+    return all(x > 0 for x in sides) or all(x < 0 for x in sides)
+
+
 def tetra_tetra_intersect(t1: Tetrahedron4, t2: Tetrahedron4,
                           pre1: Optional[TetraPre] = None,
                           pre2: Optional[TetraPre] = None) -> Optional[Point4]:
     """Exact closed intersection witness of two 3-simplices in R^4, or None.
 
-    Complete for all positions: vertex containment, edge-vs-body, and
-    2-face-vs-2-face cover every vertex of the intersection polytope.
+    First a sign reject: when the four vertices of one tetrahedron lie
+    strictly on one side of the other's hyperplane (n . v - c all > 0 or
+    all < 0), that tetrahedron lies in an open halfspace and the other in
+    its boundary hyperplane, so they miss.  A zero sign falls through.
+    Then the enumeration, complete for all positions: vertex containment,
+    edge-vs-body, and 2-face-vs-2-face cover every vertex of the
+    intersection polytope.
     """
     pre1 = pre1 or TetraPre(t1)
     pre2 = pre2 or TetraPre(t2)
+    if _off_plane(pre2, t1.vertices) or _off_plane(pre1, t2.vertices):
+        return None
     for v in t1.vertices:
         if pre2.contains(v):
             return Point4(*v)

@@ -8,7 +8,14 @@ problem; it is deliberately O(n*m) and serves as ground truth for the
 structure module and for all acceptance tests.  Each pair test uses the
 exact sign predicates as a fast path and falls back to the exact direct
 solvers whenever any sub-sign is ZERO, so the results are exact on every
-input, degenerate or not.
+input, degenerate or not.  Two signs reject pairs before any solve:
+
+* a line and a 2-flat that meet span an affine hull of dimension at most
+  1 + 2 = 3, so their five points lie in one hyperplane and
+  orient5(a, b, f0, f1, f2) is 0; a nonzero orient5 is a miss, and only a
+  zero one reaches ``line_2flat_meet``;
+* two tetrahedra miss when the four vertices of one lie strictly on one
+  side of the other's hyperplane (see ``tetra_tetra_intersect``).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from .kernel4d import (
     line_2flat_meet,
     line_tetra_interval,
     linsolve,
+    orient5,
     seg_tetra_hit,
     segment_tetra_direct,
     tetra_tetra_intersect,
@@ -117,10 +125,13 @@ PROBLEMS = {
         TrianglePre, TrianglePre,
         lambda r, b: tri_tri_hit(r.tri, b.tri, r, b),
         lambda r, b: tri_tri_any(r.tri, b.tri)),
-    # query lines, input 2-flats given by three points
-    SETUP_LINE_2FLAT: Problem(_same, _flat_points,
-                              lambda line, flat: _flat_witness(line, flat) is not None,
-                              _flat_witness),
+    # query lines, input 2-flats given by three points; a nonzero orient5
+    # puts the five points in general position, so the two miss
+    SETUP_LINE_2FLAT: Problem(
+        _same, _flat_points,
+        lambda line, flat: (orient5(line.a, line.b, *flat) == 0
+                            and _flat_witness(line, flat) is not None),
+        _flat_witness),
 }
 
 

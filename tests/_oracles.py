@@ -7,7 +7,9 @@ closed form), segment/tetrahedron feasibility by a direct rational solve of
 the barycentric system.  The CCD references at the end are the exception.
 The lifted prism runs the package's 4D predicates, which CCD's own pair test
 does not use, and ``swept_sat_reference`` is a frozen copy of that pair test
-as it was before it ran in integers, with Fraction clips.
+as it was before it ran in integers, with Fraction clips.  Likewise
+``tetra_tetra_reference`` is a frozen copy of the tetrahedron pair test as
+it was before its sign reject, on the package's own solvers.
 """
 
 from fractions import Fraction
@@ -490,6 +492,36 @@ def contact_reference(ti: Tetrahedron4, tj: Tetrahedron4):
                 w = Point4(*map(Fraction, w))
                 pts[tuple(w)] = w
     return hull2_reference(list(pts.values()), chart)
+
+
+def tetra_tetra_reference(t1: Tetrahedron4, t2: Tetrahedron4, pre1=None, pre2=None):
+    """kernel4d.tetra_tetra_intersect as it was before its hyperplane-side
+    reject: vertex containment, then edge-vs-body, then 2-face-vs-2-face,
+    with the first witness found returned."""
+    pre1 = pre1 or TetraPre(t1)
+    pre2 = pre2 or TetraPre(t2)
+    for v in t1.vertices:
+        if pre2.contains(v):
+            return Point4(*v)
+    for v in t2.vertices:
+        if pre1.contains(v):
+            return Point4(*v)
+    for (u, v) in tetra_edges(t1):
+        w = segment_tetra_direct(Segment4(u, v), t2, pre2)
+        if w is not None:
+            return w
+    for (u, v) in tetra_edges(t2):
+        w = segment_tetra_direct(Segment4(u, v), t1, pre1)
+        if w is not None:
+            return w
+    faces1 = [Triangle4(*f) for f in tetra_facets(t1)]
+    faces2 = [Triangle4(*f) for f in tetra_facets(t2)]
+    for fa in faces1:
+        for fb in faces2:
+            w = tri_tri_any(fa, fb)
+            if w is not None:
+                return w
+    return None
 
 
 # ---------------------------------------------------------------------------

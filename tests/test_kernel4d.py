@@ -15,6 +15,7 @@ from _oracles import (
     point_in_tetra,
     point_in_triangle,
     simplex_meet_vertices,
+    tetra_tetra_reference,
     triangle_edge_orientations,
 )
 from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
@@ -42,6 +43,7 @@ from tet4d.kernel4d import (
     seg_tetra_hit,
     segment_tetra_direct,
     segment_tetra_predicate,
+    tetra_tetra_intersect,
     tri_tri_any,
     tri_tri_direct,
     tri_tri_hit,
@@ -322,6 +324,48 @@ class TestSegmentTetra:
         with pytest.raises(DegeneratePosition):
             segment_tetra_predicate(e, simplex_tetra)
         assert segment_tetra_direct(e, simplex_tetra) is not None
+
+    def test_mixed_facet_signs_beside_a_zero_miss(self, simplex_tetra):
+        # the endpoints straddle x + y + z + w = 1; the line lies in the
+        # 2-planes x = 0 and w = 0 of two facets (zero signs), and the other
+        # two facet signs are strictly opposite, so the predicate decides
+        e = Segment4(Point4(0, -1, 1, 0), Point4(0, 1, 2, 0))
+        assert segment_tetra_predicate(e, simplex_tetra) is False
+        assert segment_tetra_direct(e, simplex_tetra) is None
+
+    def test_zero_facet_sign_without_mix_raises(self, simplex_tetra):
+        # crosses the hyperplane at (1/2, 1/2, 0, 0), on two facets' 2-planes
+        e = Segment4(Point4(F(1, 2), F(1, 2), -1, -1), Point4(F(1, 2), F(1, 2), 1, 1))
+        with pytest.raises(DegeneratePosition):
+            segment_tetra_predicate(e, simplex_tetra)
+        assert segment_tetra_direct(e, simplex_tetra) == Point4(F(1, 2), F(1, 2), 0, 0)
+
+    def test_predicate_raises_only_on_undecided_zeros(self, simplex_tetra):
+        """On lattice segments against the simplex, where zero signs are
+        common, the predicate equals the direct test whenever it answers,
+        and raises only for an endpoint on the hyperplane or for a zero
+        facet sign with no strict + beside a strict -."""
+        rng = random.Random(7)
+        pre = TetraPre(simplex_tetra)
+        undecided = mixed = 0
+        for _ in range(3000):
+            a, b = (Point4(*(rng.randint(-1, 2) for _ in range(4))) for _ in range(2))
+            if a == b:
+                continue
+            e = Segment4(a, b)
+            direct = segment_tetra_direct(e, simplex_tetra, pre) is not None
+            sides = [sum(p) - 1 for p in (a, b)]
+            sigs = [eps * orient5(a, b, *f) for eps, f in zip(pre.eps, pre.facets)]
+            try:
+                assert segment_tetra_predicate(e, simplex_tetra, pre) == direct
+            except DegeneratePosition:
+                undecided += 1
+                assert 0 in sides or (0 in sigs and not (1 in sigs and -1 in sigs))
+            else:
+                if sides[0] * sides[1] < 0 and 0 in sigs:
+                    mixed += 1
+                    assert 1 in sigs and -1 in sigs and not direct
+        assert undecided > 0 and mixed > 0
 
     def test_segment_inside_hyperplane(self, simplex_tetra):
         # both endpoints on the hyperplane; crosses the tetra
@@ -608,3 +652,94 @@ class TestTriTriAnyReference:
             # different 2-planes: the meet is a point or a segment
             assert len(verts) <= 2
             assert tuple(w) == tuple(sum(v[i] for v in verts) / len(verts) for i in range(4))
+
+
+def _typed(p):
+    return None if p is None else tuple((type(c), c) for c in p)
+
+
+def _tetra_pair(rnd):
+    """Two tetrahedra on a lattice pool of 5 to 9 points in [-2, 2]^4, so
+    that they often share vertices and facets and zero signs are common.
+    Layouts: picks from one pool; two sharing a facet; picks from a pool and
+    from its translate, both in one hyperplane (every side sign zero) or
+    not.  The pool may be divided by small denominators."""
+    layout = rnd.choice(("pool", "facet", "hyperplane", "shifted"))
+    pool = [[rnd.randint(-2, 2) for _ in range(4)] for _ in range(rnd.randint(5, 9))]
+    shift = [rnd.randint(-3, 3) for _ in range(4)]
+    if layout == "hyperplane":
+        # the shift stays in the pool's hyperplane
+        n = [rnd.randint(-1, 1) for _ in range(3)]
+        for p in pool + [shift]:
+            p[3] = n[0] * p[0] + n[1] * p[1] + n[2] * p[2]
+    if rnd.random() < 0.3:
+        pool = [[F(x, d) for x in p] for p, d in zip(pool, (rnd.randint(1, 3) for _ in pool))]
+    pool = [Point4(*p) for p in pool]
+    first = rnd.sample(pool, 4)
+    if layout == "facet":
+        second = first[:3] + [rnd.choice(pool[4:] or pool)]
+    elif layout in ("shifted", "hyperplane"):
+        second = [Point4(*(p[i] + shift[i] for i in range(4))) for p in rnd.sample(pool, 4)]
+    else:
+        second = rnd.sample(pool, 4)
+    rnd.shuffle(second)
+    try:
+        return Tetrahedron4(*first), Tetrahedron4(*second)
+    except DegenerateTetrahedron:
+        return None
+
+
+class TestTetraTetraSignReject:
+    def test_equals_reference_on_lattice_scenes(self):
+        """The witness equals the enumeration without the reject, typed, and
+        agrees with the meet's vertex set on emptiness.  Pairs with a zero
+        side sign fall through, meeting and missing ones alike."""
+        rnd = random.Random(20)
+        rejected = zero_sides = zero_hits = 0
+        pairs = 0
+        while pairs < 300:
+            pair = _tetra_pair(rnd)
+            if pair is None:
+                continue
+            pairs += 1
+            a, b = pair
+            pa, pb = TetraPre(a), TetraPre(b)
+            w = tetra_tetra_intersect(a, b, pa, pb)
+            assert _typed(w) == _typed(tetra_tetra_reference(a, b, pa, pb))
+            assert (w is None) == (not simplex_meet_vertices([a.vertices, b.vertices]))
+            sides = [[(d > 0) - (d < 0) for d in (sum(n * x for n, x in zip(p.n, v)) - p.c
+                                                  for v in t.vertices)]
+                     for p, t in ((pb, a), (pa, b))]
+            if any(len(set(s)) == 1 and s[0] != 0 for s in sides):
+                rejected += 1
+                assert w is None
+            elif any(0 in s for s in sides):
+                zero_sides += 1
+                zero_hits += w is not None
+        assert rejected > 50 and zero_hits > 50 and zero_sides - zero_hits > 50
+
+    def test_separated_pair_calls_no_solver(self, monkeypatch, simplex_tetra):
+        import tet4d.kernel4d as k4
+
+        calls = []
+        for name in ("segment_tetra_direct", "tri_tri_any"):
+            fn = getattr(k4, name)
+            monkeypatch.setattr(k4, name, lambda *a, _fn=fn, _n=name: calls.append(_n) or _fn(*a))
+
+        def shifted(d):
+            return Tetrahedron4(*(Point4(*(p[i] + d[i] for i in range(4)))
+                                  for p in simplex_tetra.vertices))
+
+        # x + y + z + w = 5 at every vertex of the translate: strictly above
+        assert tetra_tetra_intersect(simplex_tetra, shifted((1, 1, 1, 1))) is None
+        # above the simplex's hyperplane, while its own, x + y + z + 7w = 2,
+        # cuts the simplex: one side separates, in either argument order
+        above = Tetrahedron4(Point4(2, 0, 0, 0), Point4(0, 2, 0, 0),
+                             Point4(0, 0, 2, 0), Point4(3, 3, 3, -1))
+        assert tetra_tetra_intersect(simplex_tetra, above) is None
+        assert tetra_tetra_intersect(above, simplex_tetra) is None
+        assert calls == []
+        # a translate inside the same hyperplane: every side sign is zero,
+        # so the enumeration runs and finds the miss
+        assert tetra_tetra_intersect(simplex_tetra, shifted((5, -5, 0, 0))) is None
+        assert "segment_tetra_direct" in calls and "tri_tri_any" in calls

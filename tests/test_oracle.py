@@ -10,12 +10,17 @@ from tet4d.kernel4d import (
     Tetrahedron4,
     TetraPre,
     generic_shear,
+    orient5,
     tetra_tetra_intersect,
 )
 from tet4d.oracle import (
+    PROBLEMS,
+    SETUP_LINE_2FLAT,
     IntersectionReport,
     QueryMode,
+    _flat_witness,
     arrangement_k_counts,
+    brute_query,
     line_2flat_query,
     ray_shoot,
     seg_tetra_query,
@@ -180,6 +185,68 @@ class TestLineFlatQuery:
                 except Contained:
                     expect += 1
         assert rep.count == expect and expect >= len(lines)
+
+
+def _line_flat_scene(rng, n=12):
+    """Lattice flats and, per flat, a line inside it, a line parallel to it
+    in a common hyperplane, a line through one of its points and a random
+    line; coordinates are small so that zero signs are common."""
+    flats, lines, kinds = [], [], []
+    while len(flats) < n:
+        f = rnd_flat(rng, 2, 2)
+        g1, g2 = (tuple(f[k][i] - f[0][i] for i in range(4)) for k in (1, 2))
+        u, v = (tuple(f[0][i] + c for i, c in enumerate(rnd_point(rng, 2))) for _ in range(2))
+        if orient5(*f, u, v) == 0:
+            continue  # u - f0 must leave the flat's direction for the parallel line
+        p = tuple(f[0][i] + g1[i] - g2[i] for i in range(4))
+        d = rnd_point(rng, 2)
+        r = rnd_segment(rng, 2, 2)
+        flats.append(f)
+        for kind, a, b in (
+                ("inside", f[1], tuple(f[1][i] + g1[i] + 2 * g2[i] for i in range(4))),
+                ("parallel", u, tuple(u[i] + g1[i] - g2[i] for i in range(4))),
+                ("meet", tuple(p[i] - d[i] for i in range(4)), tuple(p[i] + 2 * d[i] for i in range(4))),
+                ("random", r.a, r.b)):
+            if a != b:
+                lines.append(Segment4(Point4(*a), Point4(*b)))
+                kinds.append((kind, len(flats) - 1))
+    return lines, flats, kinds
+
+
+class TestLineFlatSignFirst:
+    def test_hit_equals_witness(self, rng):
+        """hit is the witness's existence on every pair, and each built line
+        falls where it was built: inside and through-a-point lines meet
+        their flat with orient5 zero, parallel ones miss it with orient5
+        zero, and nonzero orient5 is a miss."""
+        hit = PROBLEMS[SETUP_LINE_2FLAT].hit
+        lines, flats, kinds = _line_flat_scene(rng)
+        seen = set()
+        for ln, (kind, k) in zip(lines, kinds):
+            for j, fl in enumerate(flats):
+                zero = orient5(ln.a, ln.b, *fl) == 0
+                got = hit(ln, fl)
+                assert got == (_flat_witness(ln, fl) is not None)
+                if j == k and kind != "random":
+                    assert zero and got == (kind != "parallel")
+                seen.add((zero, got))
+        # skew pairs miss; zero signs give hits and misses
+        assert seen == {(False, False), (True, True), (True, False)}
+
+    def test_solver_only_on_zero_signs(self, monkeypatch, rng):
+        """brute_query solves only the pairs with orient5 zero, then once
+        more per hit for its witness."""
+        import tet4d.oracle as oracle_mod
+
+        calls = []
+        solve = oracle_mod.line_2flat_meet
+        monkeypatch.setattr(oracle_mod, "line_2flat_meet",
+                            lambda line, flat: calls.append((line, tuple(flat))) or solve(line, flat))
+        lines, flats, _kinds = _line_flat_scene(rng, 8)
+        rep = brute_query(SETUP_LINE_2FLAT, lines, flats, QueryMode.REPORT)
+        zero = [(ln, tuple(f)) for ln in lines for f in flats if orient5(ln.a, ln.b, *f) == 0]
+        assert 0 < len(zero) < len(lines) * len(flats)
+        assert calls == zero + [(lines[i], tuple(flats[j])) for (i, j, _w) in rep.pairs]
 
 
 class TestKCounts:
