@@ -53,10 +53,6 @@ def _fail(code: int, msg: str):
     sys.exit(code)
 
 
-def _mode(arg: str) -> QueryMode:
-    return QueryMode(arg)
-
-
 def _write(args, text: str):
     """The text to --out, atomically, or else to stdout."""
     if args.out:
@@ -168,11 +164,8 @@ def cmd_query(args):
         inputs, queries = _load_setup_inputs(args, args.setup)
     except SchemaError as ex:
         _fail(3, str(ex))
-    sigma = Fraction(args.sigma)
-    if not (1 <= sigma <= 6):
-        _fail(2, f"sigma {args.sigma} outside [1, 6]")
-    payload, mismatch = run_query(args.setup, inputs, queries, _mode(args.mode),
-                                  sigma, args.engine)
+    payload, mismatch = run_query(args.setup, inputs, queries, QueryMode(args.mode),
+                                  args.sigma, args.engine)
     if args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf)
@@ -187,11 +180,6 @@ def cmd_query(args):
     return 0
 
 
-def cmd_flats(args):
-    args.setup = "line-flat"
-    return cmd_query(args)
-
-
 def cmd_ccd(args):
     try:
         scene = load_scene(args.scene)
@@ -200,7 +188,7 @@ def cmd_ccd(args):
         moving = decode_objects(scene)
     except SchemaError as ex:
         _fail(3, str(ex))
-    rep = detect_collisions(moving, _mode(args.mode))
+    rep = detect_collisions(moving, QueryMode(args.mode))
     payload = {
         "mode": args.mode,
         "n": len(moving),
@@ -272,21 +260,16 @@ def cmd_bench(args):
         inputs, queries = _load_setup_inputs(args, args.setup)
     except SchemaError as ex:
         _fail(3, str(ex))
-    grid = [Fraction(s) for s in args.sigma_grid.split(",")]
-    for sg in grid:
-        if not (1 <= sg <= 6):
-            _fail(2, f"sigma {sg} outside [1, 6]")
     rows = []
     any_mismatch = False
-    for rep_i in range(args.repetitions):
+    for _rep in range(args.repetitions):
         medians = []
         block = []
-        for sg in grid:
+        for sg in args.sigma_grid:
             payload, mismatch = run_query(args.setup, inputs, queries,
                                           QueryMode.COUNT, sg, "both")
             any_mismatch = any_mismatch or mismatch
-            med = statistics.median(payload["perQueryLeafItems"]) if payload["perQueryLeafItems"] else 0
-            medians.append(med)
+            medians.append(statistics.median(payload["perQueryLeafItems"] or [0]))
             st = payload["stats"]
             block.append({
                 "setup": args.setup, "n": payload["n"], "m": payload["m"],
@@ -305,8 +288,7 @@ def cmd_bench(args):
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=BENCH_COLUMNS)
     w.writeheader()
-    for row in rows:
-        w.writerow(row)
+    w.writerows(rows)
     _write(args, buf.getvalue())
     if any_mismatch:
         _fail(4, "bench observed an oracle mismatch")
@@ -320,11 +302,11 @@ def cmd_predict(args):
     w = csv.writer(buf)
     if args.mu_grid:
         w.writerow(["mu", "batchedExponent"])
-        for mu, e in batched_samples(args.mu_grid.split(",")):
+        for mu, e in batched_samples(args.mu_grid):
             w.writerow([str(mu), f"{float(e):.6f}"])
     else:
         w.writerow(["sigma", "queryExponent", "prematureExponent"])
-        for sig, e, p in tradeoff_samples(args.sigma_grid.split(",")):
+        for sig, e, p in tradeoff_samples(args.sigma_grid):
             w.writerow([str(sig), f"{float(e):.6f}", f"{float(p):.6f}"])
     _write(args, buf.getvalue())
     return 0
@@ -336,13 +318,27 @@ def cmd_predict(args):
 _SEED_HELP = "ignored; only gen uses the seed"
 
 
+def _fraction(lo, hi=None, grid=False):
+    """An argparse type: a Fraction in [lo, hi], with no upper bound when hi
+    is None; with grid, a comma-separated list of them."""
+    def one(text: str) -> Fraction:
+        try:
+            v = Fraction(text)
+        except (ValueError, ZeroDivisionError):
+            raise argparse.ArgumentTypeError(f"not a fraction: {text!r}") from None
+        if v < lo or (hi is not None and v > hi):
+            raise argparse.ArgumentTypeError(f"{text} outside [{lo}, {hi or 'inf'}]")
+        return v
+    return (lambda text: [one(s) for s in text.split(",")]) if grid else one
+
+
 def _query_parser(sub, name: str, help_text: str) -> argparse.ArgumentParser:
     """A subcommand with the arguments that `query` and `flats` share."""
     p = sub.add_parser(name, help=help_text)
     p.add_argument("--scene", required=True)
     p.add_argument("--queries", default=None)
     p.add_argument("--mode", choices=["detect", "count", "report"], default="count")
-    p.add_argument("--sigma", default="2")
+    p.add_argument("--sigma", type=_fraction(1, 6), default="2")
     p.add_argument("--engine", choices=["oracle", "structure", "both"], default="both")
     p.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     p.add_argument("--format", choices=["json", "csv"], default="json")
@@ -373,7 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_query)
 
     f = _query_parser(sub, "flats", "lines vs 2-flats batch")
-    f.set_defaults(fn=cmd_flats)
+    f.set_defaults(fn=cmd_query, setup="line-flat")
 
     c = sub.add_parser("ccd", help="continuous collision detection, with first contact times")
     c.add_argument("--scene", required=True)
@@ -393,15 +389,15 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--scene", required=True)
     b.add_argument("--queries", default=None)
     b.add_argument("--setup", required=True, choices=list(SETUPS))
-    b.add_argument("--sigma-grid", default="1,1.5,2,3,6")
+    b.add_argument("--sigma-grid", type=_fraction(1, 6, grid=True), default="1,1.5,2,3,6")
     b.add_argument("--repetitions", type=int, default=1)
     b.add_argument("--seed", type=int, default=0, help=_SEED_HELP)
     b.add_argument("--out", default=None)
     b.set_defaults(fn=cmd_bench)
 
     p = sub.add_parser("predict", help="analytic tradeoff exponents")
-    p.add_argument("--sigma-grid", default="1,1.5,2,3,6")
-    p.add_argument("--mu-grid", default=None)
+    p.add_argument("--sigma-grid", type=_fraction(1, 6, grid=True), default="1,1.5,2,3,6")
+    p.add_argument("--mu-grid", type=_fraction(0, grid=True), default=None)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=cmd_predict)
 

@@ -59,12 +59,8 @@ class DegenerateDirection(GeometryError):
 
 
 class DegeneratePosition(GeometryError):
-    """A predicate met a ZERO sub-sign; the caller should fall back to a
-    direct solver."""
-
-
-class Contained(GeometryError):
-    """The query line lies entirely inside the target flat."""
+    """An exact step met a layout it does not handle, such as hyperplanes
+    or 2-planes that are not in general position."""
 
 
 class EmptyIntersection(GeometryError):
@@ -486,38 +482,6 @@ def _integral(v):
 # segment vs tetrahedron
 
 
-def _facet_signs(a, b, pre: TetraPre):
-    v = pre.tet.vertices
-    out = []
-    for eps, (i, j, k) in zip(pre.eps, _FACETS):
-        out.append(eps * orient5(a, b, v[i], v[j], v[k]))
-    return out
-
-
-def segment_tetra_predicate(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> bool:
-    """Six-sign test for e meeting t, valid in generic position only.
-
-    Raises DegeneratePosition whenever a needed sub-sign is ZERO; callers
-    fall back to segment_tetra_direct.  A zero facet sign is not needed
-    when a strict + sits beside a strict -: the line then misses the
-    tetrahedron's interior and boundary alike, which is
-    segment_tetra_direct's rule for a segment that crosses the hyperplane.
-    """
-    pre = pre or TetraPre(t)
-    sa = _sign(_dot(pre.n, e.a) - pre.c)
-    sb = _sign(_dot(pre.n, e.b) - pre.c)
-    if sa == 0 or sb == 0:
-        raise DegeneratePosition("endpoint on the supporting hyperplane")
-    if sa == sb:
-        return False
-    sigs = _facet_signs(e.a, e.b, pre)
-    if 1 in sigs and -1 in sigs:
-        return False
-    if 0 in sigs:
-        raise DegeneratePosition("line meets a facet 2-plane")
-    return True
-
-
 def _clip(forms, lo, hi):
     """The closed interval of tau inside [lo, hi] on which every form
     c0 + tau * c1 of ``forms`` (pairs (c0, c1)) is >= 0, as (lo, hi); None
@@ -549,45 +513,51 @@ def _bary_forms(o, d, pre: TetraPre):
     return [(_dot5(f, orow), _dot5(f, drow)) for f in pre.forms[:4]]
 
 
-def _segment_clip_in_plane(a, b, pre: TetraPre):
-    """Both endpoints on the supporting hyperplane: the closed parameter
-    interval (lo, hi), 0 <= lo <= hi <= 1, of a + t (b - a) inside the
-    tetrahedron; None if empty."""
-    return _clip(_bary_forms(a, _sub(b, a), pre), Fraction(0), Fraction(1))
+def _seg_tetra_case(e: Segment4, pre: TetraPre):
+    """Segment-tetrahedron decided by signs: None on a miss, else (va, vb,
+    clip), the endpoint values n . x - c and, when both are 0, the closed
+    parameter interval of e in the tetrahedron (else None).  Endpoints
+    strictly on one side miss, and a segment in the hyperplane is clipped
+    by the facet forms.  Otherwise the line meets the hyperplane in one
+    point x of e.  (a, 1) and (b, 1) span (x, 1) and some Y, so
+    orient5(a, b, *facet_i) has the sign of det((x, 1), Y, facet_i) times a
+    common factor; linear in x and 0 at facet i's vertices, that is
+    lam_i(x) det(V_i, Y, facet_i), whose last factor eps[i] makes one sign
+    for all four facets (``TetraPre``).  So the calibrated signs are x's
+    barycentric signs up to one common factor: a strict + beside a strict -
+    puts x outside, and without one x is inside."""
+    a, b = e.a, e.b
+    va = _dot(pre.n, a) - pre.c
+    vb = _dot(pre.n, b) - pre.c
+    if va * vb > 0:
+        return None
+    if va == vb == 0:
+        clip = _clip(_bary_forms(a, _sub(b, a), pre), Fraction(0), Fraction(1))
+        return None if clip is None else (va, vb, clip)
+    v = pre.tet.vertices
+    sigs = [eps * orient5(a, b, v[i], v[j], v[k]) for eps, (i, j, k) in zip(pre.eps, _FACETS)]
+    return None if 1 in sigs and -1 in sigs else (va, vb, None)
 
 
 def segment_tetra_direct(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> Optional[Point4]:
-    """Exact closed-set witness of e intersecting t, or None.
-
-    Handles every degenerate layout, including the segment lying inside the
-    supporting hyperplane.
-    """
-    pre = pre or TetraPre(t)
-    va = _dot(pre.n, e.a) - pre.c
-    vb = _dot(pre.n, e.b) - pre.c
-    sa, sb = _sign(va), _sign(vb)
-    if sa == sb:
-        if sa != 0:
-            return None
-        clip = _segment_clip_in_plane(e.a, e.b, pre)
-        if clip is None:
-            return None
-        tm = (clip[0] + clip[1]) / 2
-        return Point4(*(ac + tm * (bc - ac) for ac, bc in zip(e.a, e.b)))
-    sigs = _facet_signs(e.a, e.b, pre)
-    if any(s > 0 for s in sigs) and any(s < 0 for s in sigs):
+    """Exact closed-set witness of e intersecting t, or None: the crossing
+    with the hyperplane, or the midpoint of the in-plane clip when e lies
+    in the hyperplane.  The decision is ``_seg_tetra_case``'s."""
+    case = _seg_tetra_case(e, pre or TetraPre(t))
+    if case is None:
         return None
-    tcr = Fraction(va) / (va - vb)
-    return Point4(*(ac + tcr * (bc - ac) for ac, bc in zip(e.a, e.b)))
+    va, vb, clip = case
+    tm = Fraction(va) / (va - vb) if clip is None else (clip[0] + clip[1]) / 2
+    return Point4(*(ac + tm * (bc - ac) for ac, bc in zip(e.a, e.b)))
 
 
 def seg_tetra_hit(e: Segment4, t: Tetrahedron4, pre: Optional[TetraPre] = None) -> bool:
-    """Exact boolean intersection test: sign predicate with direct fallback."""
-    pre = pre or TetraPre(t)
-    try:
-        return segment_tetra_predicate(e, t, pre)
-    except DegeneratePosition:
-        return segment_tetra_direct(e, t, pre) is not None
+    """Exact closed-set test of e meeting t, for every layout: the two
+    endpoint signs, then the four facet signs (a strict + beside a strict -
+    is a miss), or the in-plane clip when both endpoints lie on the
+    hyperplane.  ``_seg_tetra_case`` proves each step; only the in-plane
+    clip builds Fractions."""
+    return _seg_tetra_case(e, pre or TetraPre(t)) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -612,36 +582,6 @@ class TrianglePre:
             if s:
                 break
         self.eps = (s, -s, s)
-
-
-def _edge_signs_against_plane(tri: Triangle4, eps, plane_pts):
-    """Calibrated signs of tri's three edge lines against a 2-plane given by
-    three points."""
-    a, b, c = plane_pts
-    out = []
-    for e, (u, v) in zip(eps, tri.edges()):
-        out.append(e * orient5(u, v, a, b, c))
-    return out
-
-
-def tri_tri_predicate(t1: Triangle4, t2: Triangle4,
-                      pre1: Optional[TrianglePre] = None,
-                      pre2: Optional[TrianglePre] = None) -> bool:
-    """Six-sign triangle intersection test; generic position only, raising
-    DegeneratePosition on any ZERO sub-sign."""
-    pre1 = pre1 or TrianglePre(t1)
-    pre2 = pre2 or TrianglePre(t2)
-
-    for tri, eps, other in ((t2, pre2.eps, t1), (t1, pre1.eps, t2)):
-        first = 0
-        for s in _edge_signs_against_plane(tri, eps, other.vertices):
-            if s == 0:
-                raise DegeneratePosition("edge line meets the other 2-plane")
-            if first == 0:
-                first = s
-            elif s != first:
-                return False
-    return True
 
 
 def _tri_tri_system(t1: Triangle4, t2: Triangle4):
@@ -678,10 +618,38 @@ def tri_tri_direct(t1: Triangle4, t2: Triangle4) -> Optional[Point4]:
 def tri_tri_hit(t1: Triangle4, t2: Triangle4,
                 pre1: Optional[TrianglePre] = None,
                 pre2: Optional[TrianglePre] = None) -> bool:
-    try:
-        return tri_tri_predicate(t1, t2, pre1, pre2)
-    except DegeneratePosition:
-        return tri_tri_any(t1, t2) is not None
+    """Exact closed-set test of t1 meeting t2, for every layout: two groups
+    of three calibrated edge signs, t2's edges against t1's 2-plane, then
+    t1's against t2's.  A group with a strict + beside a strict - is a miss,
+    found at the first strict sign that differs from the group's first; with
+    no zero sign the pair is a hit; ``tri_tri_any`` decides the rest.
+
+    Proof, for T = t2 against t1's 2-plane.  On homogeneous rows (x, 1),
+    orient5(y, z, *t1) = det(Y, Z, F) is an alternating form w on the
+    3-space W of T's vertex rows, zero on L = W & span(F), dim L >= 1.  If
+    dim L = 1, a 2-space of W missing L gives w != 0, so w(Y, Z) =
+    det_W(Y, Z, k X) with X spanning L and k != 0.  For X = sum lam_i W_i,
+    edge i (the vertices other than i) gets k (lam_0, -lam_1, lam_2)_i, and
+    the calibration (s, -s, s) leaves sign(k s) sign(lam_i).  If the
+    2-planes meet in one point x, then X = (x, 1), sum lam_i = 1, and the
+    signs are x's barycentric signs in T up to one common factor: a mixed
+    group puts x, the only common point, outside T.  If X is at infinity,
+    sum lam_i = 0 forces mixed signs, and the 2-planes do not meet.  If
+    dim L >= 2 (a shared line, one 2-plane, or parallel ones), every 2-space
+    of W meets L and every sign is 0.  So with no zero sign, dim L = 1 and
+    x is inside both triangles: a hit."""
+    zero = False
+    for tri, pre, flat in ((t2, pre2, t1.vertices), (t1, pre1, t2.vertices)):
+        first = 0
+        for e, (u, v) in zip((pre or TrianglePre(tri)).eps, tri.edges()):
+            s = e * orient5(u, v, *flat)
+            if s == 0:
+                zero = True
+            elif first == 0:
+                first = s
+            elif s != first:
+                return False
+    return not zero or tri_tri_any(t1, t2) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -843,7 +811,10 @@ def tri_tri_any(t1: Triangle4, t2: Triangle4) -> Optional[Point4]:
 
 def line_2flat_meet(line: Segment4, flat) -> Optional[Point4]:
     """Meet of the full line through `line` with the full 2-flat spanned by
-    the three points in `flat`; raises Contained if the line lies inside."""
+    the three points in `flat`, or None.  Solving line.a + t d = f0 + s g1 +
+    u g2 decides every layout: no solution is a miss, one is the meeting
+    point, and more put d in span(g1, g2), so the whole line lies in the
+    flat and line.a is returned."""
     f0, f1, f2 = flat
     d = _sub(line.b, line.a)
     g1, g2 = _sub(f1, f0), _sub(f2, f0)
@@ -855,7 +826,7 @@ def line_2flat_meet(line: Segment4, flat) -> Optional[Point4]:
         return None
     part, basis = sol
     if basis:
-        raise Contained("line lies inside the 2-flat")
+        return Point4(*line.a)
     t = part[0]
     return Point4(*(line.a[i] + t * d[i] for i in range(4)))
 

@@ -5,15 +5,17 @@ a query and an input object are prepared, the exact closed-set test of a
 prepared pair, and the pair's witness point.  The structure in
 ``rangetree`` reads the same table.  ``brute_query`` tests every pair of a
 problem; it is deliberately O(n*m) and serves as ground truth for the
-structure module and for all acceptance tests.  Each pair test uses the
-exact sign predicates as a fast path and falls back to the exact direct
-solvers whenever any sub-sign is ZERO, so the results are exact on every
-input, degenerate or not.  Two signs reject pairs before any solve:
+structure module and for all acceptance tests.  Each pair test is one
+exact decision on every input, degenerate or not, that nothing raises and
+retries: ``seg_tetra_hit`` and ``tri_tri_hit`` decide by signs, the latter
+solving only pairs with a zero sign and no mixed group, and signs reject
+pairs before any solve elsewhere:
 
 * a line and a 2-flat that meet span an affine hull of dimension at most
   1 + 2 = 3, so their five points lie in one hyperplane and
   orient5(a, b, f0, f1, f2) is 0; a nonzero orient5 is a miss, and only a
-  zero one reaches ``line_2flat_meet``;
+  zero one reaches ``line_2flat_meet``, which also answers a line in the
+  flat;
 * two tetrahedra miss when the four vertices of one lie strictly on one
   side of the other's hyperplane (see ``tetra_tetra_intersect``).
 """
@@ -26,7 +28,6 @@ from fractions import Fraction
 from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .kernel4d import (
-    Contained,
     DegeneratePosition,
     Point4,
     Segment4,
@@ -101,15 +102,6 @@ def _flat_points(flat):
     return tuple(Point4(*p) for p in flat)
 
 
-def _flat_witness(line: Segment4, flat) -> Optional[Point4]:
-    """The line's meet with the 2-flat, its point a when it lies inside the
-    flat, or None when they miss."""
-    try:
-        return line_2flat_meet(line, flat)
-    except Contained:
-        return Point4(*line.a)
-
-
 PROBLEMS = {
     # (i): query segments, input tetrahedra; (iii) swaps the two roles
     SETUP_SEG_TETRA: Problem(
@@ -130,8 +122,8 @@ PROBLEMS = {
     SETUP_LINE_2FLAT: Problem(
         _same, _flat_points,
         lambda line, flat: (orient5(line.a, line.b, *flat) == 0
-                            and _flat_witness(line, flat) is not None),
-        _flat_witness),
+                            and line_2flat_meet(line, flat) is not None),
+        lambda line, flat: line_2flat_meet(line, flat)),
 }
 
 

@@ -20,10 +20,10 @@ node's integer bounding box: per coordinate, the coefficient times the
 box's low or high end, by the coefficient's sign.  INSIDE nodes forward
 their entire item set to the next level as a canonical set, OUTSIDE nodes
 are pruned, CROSSING nodes recurse.  A leaf takes the same dot products,
-group by group, and stops after a group whose signs are all nonzero and
-match no pass; for the segment-tetrahedron setups that is the endpoint
-pair.  Zero signs go to a direct-solver fallback.  No parametrization is
-involved, so no input direction is special and no shear is needed.
+group by group, and stops at a group that no pass accepts even with its
+zeros filled in, a miss (``_Setup.sigma``); other zero signs go to a
+direct-solver fallback.  No parametrization is involved, so no input
+direction is special and no shear is needed.
 Results are exactly equal to the brute-force oracle on every input.
 
 Leaf buckets.  A node is a leaf when it holds at most
@@ -65,6 +65,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable, Optional, Tuple
 
 from .kernel4d import (
@@ -451,13 +452,15 @@ class _Setup:
         box = layout.input_box
         self.boxes = None if box is None else [box(x) for x in self.prepared]
         # per pass, the sign each level must have; per group, its levels and
-        # the sign patterns some pass accepts there
+        # the sign tuples that some pass accepts once their zeros are filled in
         levels = self.levels
         self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
         self.groups = []
         for g in range(max(l.group for l in levels) + 1):
             idx = tuple(i for i, l in enumerate(levels) if l.group == g)
-            self.groups.append((idx, {tuple(t[i] for i in idx) for t in self.targets.values()}))
+            accepted = {tuple(t[i] for i in idx) for t in self.targets.values()}
+            self.groups.append((idx, {tuple(x * k for x, k in zip(a, keep)) for a in accepted
+                                      for keep in product((0, 1), repeat=len(idx))}))
 
     def make_ctx(self, qobj) -> _QueryCtx:
         q = self.problem.prep_query(qobj)
@@ -470,18 +473,22 @@ class _Setup:
         return self.problem.witness(ctx.query, self.prepared[j])
 
     def sigma(self, ctx: _QueryCtx, j: int):
-        """Per-level signs of object j against the query, group by group.
-        It stops after a group whose signs are all nonzero and match no
-        pass, so a tuple shorter than the level list is a miss."""
+        """Per-level signs of object j against the query, group by group,
+        up to the first group that no pass accepts even with its zeros
+        filled in, which is left out: a tuple shorter than the level list is
+        a miss.  After the roles, such a group holds a strict + beside a
+        strict - (a miss by ``kernel4d._seg_tetra_case`` and
+        ``kernel4d.tri_tri_hit``, which prove it) or a nonzero zero-set sign
+        (a line that meets a 2-flat has orient5 zero)."""
         sig = ctx.sigma_cache.get(j)
         if sig is None:
             forms, points = ctx.forms, self.points
             sig = ()
             for idx, accepted in self.groups:
                 part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
-                sig += part
-                if part not in accepted and 0 not in part:
+                if part not in accepted:
                     break
+                sig += part
             ctx.sigma_cache[j] = sig
         return sig
 
@@ -571,9 +578,10 @@ class _Run:
 def _leaf_match(run: _Run, items, passes):
     """Resolve leaf items exactly for the given passes.  Items to skip and
     items whose box misses the query's are dropped first.  A sign tuple
-    shorter than the level list is a miss: sigma stopped early because no
-    pass can match.  A zero sign is settled by the problem's witness, which
-    is kept for the report."""
+    shorter than the level list is a miss (``_Setup.sigma``); a full one
+    with no zero is a hit iff it is a pass's target, the problem's sign
+    rule.  A full tuple with a zero, in its canonical pass, goes to the
+    problem's witness, which is kept for the report."""
     setup = run.struct.setup
     ctx = run.ctx
     stats = run.stats
@@ -603,17 +611,12 @@ def _leaf_match(run: _Run, items, passes):
 
 
 def _canonical_pass(setup, sig):
+    """The one pass that counts an object with a zero sign: per group, +1
+    when its signs times their roles are all >= 0, else -1 (``sigma`` leaves
+    no group with a strict + beside a strict -)."""
     levels = setup.levels
-    out = []
-    for idx, _accepted in setup.groups:
-        vals = [sig[l] * levels[l].role for l in idx]
-        if all(v >= 0 for v in vals):
-            out.append(1)
-        elif all(v <= 0 for v in vals):
-            out.append(-1)
-        else:
-            out.append(1)
-    return tuple(out)
+    return tuple(1 if all(sig[l] * levels[l].role >= 0 for l in idx) else -1
+                 for idx, _accepted in setup.groups)
 
 
 def _record(run: _Run, j: int):

@@ -20,17 +20,14 @@ import pytest
 from conftest import cluster_tetra, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d import rangetree as rt
 from tet4d.kernel4d import (
-    DegeneratePosition,
     Point4,
     Segment4,
     TetraPre,
     TrianglePre,
     seg_tetra_hit,
     segment_tetra_direct,
-    segment_tetra_predicate,
     tri_tri_any,
-    tri_tri_direct,
-    tri_tri_predicate,
+    tri_tri_hit,
 )
 from tet4d.oracle import (
     QueryMode,
@@ -160,25 +157,20 @@ def test_predicate_direct_agreement():
         segs = [rnd_segment(rng, 8, 8) for _ in range(400)]
         pres = [TetraPre(t) for t in tets]
         checked = 0
-        fallbacks = 0
         for e in segs:
             for t, pre in zip(tets, pres):
                 direct = segment_tetra_direct(e, t, pre) is not None
-                try:
-                    assert segment_tetra_predicate(e, t, pre) == direct
-                except DegeneratePosition:
-                    fallbacks += 1
+                assert seg_tetra_hit(e, t, pre) == direct
                 checked += 1
         assert checked == 100_000
-        # degenerate fixtures route to the fallback without wrong answers
+        # a degenerate fixture gets the same single decision
         from tet4d.kernel4d import Tetrahedron4
 
         simplex = Tetrahedron4(Point4(1, 0, 0, 0), Point4(0, 1, 0, 0),
                                Point4(0, 0, 1, 0), Point4(0, 0, 0, 1))
         graze = Segment4(Point4(1, 0, 0, 0), Point4(2, 0, 0, 0))
-        with pytest.raises(DegeneratePosition):
-            segment_tetra_predicate(graze, simplex)
         assert seg_tetra_hit(graze, simplex) is True
+        assert segment_tetra_direct(graze, simplex) == Point4(1, 0, 0, 0)
 
         # triangle / triangle
         reds = [rnd_triangle(rng, 8, 8) for _ in range(250)]
@@ -188,14 +180,8 @@ def test_predicate_direct_agreement():
         checked = 0
         for a, pa in zip(reds, rpre):
             for b, pb in zip(blues, bpre):
-                try:
-                    direct = tri_tri_direct(a, b) is not None
-                except DegeneratePosition:
-                    direct = tri_tri_any(a, b) is not None
-                try:
-                    assert tri_tri_predicate(a, b, pa, pb) == direct
-                except DegeneratePosition:
-                    fallbacks += 1
+                direct = tri_tri_any(a, b) is not None
+                assert tri_tri_hit(a, b, pa, pb) == direct
                 checked += 1
         assert checked == 100_000
 

@@ -266,3 +266,34 @@ class TestPredict:
         assert float(table["1"]) == 1.625
         assert float(table["3/2"]) == 2.0
         assert float(table["0"]) == 1.0
+
+
+class TestNumberArguments:
+    """sigma must be a fraction in [1, 6] and mu a fraction >= 0; anything
+    else is a usage error, exit 2, before any scene is read."""
+
+    @pytest.mark.parametrize("args", [
+        ("query", "--setup", "seg-tetra", "--sigma", "abc"),
+        ("query", "--setup", "seg-tetra", "--sigma", "1/0"),
+        ("flats", "--sigma", "0"),
+        ("bench", "--setup", "seg-tetra", "--sigma-grid", "1,x"),
+        ("bench", "--setup", "seg-tetra", "--sigma-grid", "2,13/2"),
+    ])
+    def test_bad_sigma_on_a_scene_usage(self, work, capsys, args):
+        tets = _gen(work, "t.json", "gen", "--kind", "TETRAHEDRA", "--n", "3", "--seed", "1")
+        segs = _gen(work, "s.json", "gen", "--kind", "SEGMENTS", "--n", "3", "--seed", "2")
+        assert run_cli([args[0], "--scene", tets, "--queries", segs, *args[1:]]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ("--sigma-grid", "9"), ("--sigma-grid", "x"), ("--sigma-grid", "1,,2"),
+        ("--mu-grid", "x"), ("--mu-grid", "-1"), ("--mu-grid", "0,1/0"),
+    ])
+    def test_bad_predict_grid_usage(self, capsys, args):
+        assert run_cli(["predict", *args]) == 2
+        assert "usage:" in capsys.readouterr().err
+
+    def test_fraction_grids_accepted(self, capsys):
+        assert run_cli(["predict", "--sigma-grid", "1,3/2,6"]) == 0
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        assert [r[0] for r in rows[1:]] == ["1", "3/2", "6"]

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracles import (
+    _rref,
     _tri_bary2,
     bary_signs,
     det5h,
@@ -22,7 +23,6 @@ from conftest import rnd_point, rnd_segment, rnd_tetra, rnd_triangle
 from tet4d.kernel4d import (
     POS,
     ZERO,
-    Contained,
     DegenerateDirection,
     DegeneratePosition,
     DegenerateTetrahedron,
@@ -42,14 +42,13 @@ from tet4d.kernel4d import (
     plucker10,
     seg_tetra_hit,
     segment_tetra_direct,
-    segment_tetra_predicate,
     tetra_tetra_intersect,
     tri_tri_any,
     tri_tri_direct,
     tri_tri_hit,
-    tri_tri_predicate,
     twoplane_param,
 )
+from tet4d.oracle import PROBLEMS, SETUP_LINE_2FLAT
 
 F = Fraction
 
@@ -267,13 +266,13 @@ class TestTwoPlaneParam:
 class TestSegmentTetra:
     def test_diagonal_hits_simplex(self, simplex_tetra):
         e = Segment4(Point4(0, 0, 0, 0), Point4(1, 1, 1, 1))
-        assert segment_tetra_predicate(e, simplex_tetra) is True
+        assert seg_tetra_hit(e, simplex_tetra) is True
         w = segment_tetra_direct(e, simplex_tetra)
         assert w == Point4(F(1, 4), F(1, 4), F(1, 4), F(1, 4))
 
     def test_short_probe_misses(self, simplex_tetra):
         e = Segment4(Point4(0, 0, 0, 0), Point4(F(1, 8), F(1, 8), F(1, 8), F(1, 8)))
-        assert segment_tetra_predicate(e, simplex_tetra) is False
+        assert seg_tetra_hit(e, simplex_tetra) is False
         assert segment_tetra_direct(e, simplex_tetra) is None
 
     def test_far_segment_absent(self, simplex_tetra):
@@ -281,18 +280,12 @@ class TestSegmentTetra:
         assert segment_tetra_direct(e, simplex_tetra) is None
 
     def test_predicate_equals_direct_random(self, rng):
-        degenerate = 0
         for _ in range(1000):
             t = rnd_tetra(rng)
             e = rnd_segment(rng)
             pre = TetraPre(t)
             direct = segment_tetra_direct(e, t, pre) is not None
-            try:
-                assert segment_tetra_predicate(e, t, pre) == direct
-            except DegeneratePosition:
-                degenerate += 1
             assert seg_tetra_hit(e, t, pre) == direct
-        assert degenerate < 50  # zero sub-signs are rare in random scenes
 
     def test_direct_equals_lp_oracle(self, rng):
         for _ in range(400):
@@ -321,33 +314,32 @@ class TestSegmentTetra:
     def test_boundary_contact_counts(self, simplex_tetra):
         # endpoint exactly on the supporting hyperplane, inside the tetra
         e = Segment4(Point4(F(1, 4), F(1, 4), F(1, 4), F(1, 4)), Point4(0, 0, 0, 0))
-        with pytest.raises(DegeneratePosition):
-            segment_tetra_predicate(e, simplex_tetra)
+        assert seg_tetra_hit(e, simplex_tetra) is True
         assert segment_tetra_direct(e, simplex_tetra) is not None
 
     def test_mixed_facet_signs_beside_a_zero_miss(self, simplex_tetra):
         # the endpoints straddle x + y + z + w = 1; the line lies in the
         # 2-planes x = 0 and w = 0 of two facets (zero signs), and the other
-        # two facet signs are strictly opposite, so the predicate decides
+        # two facet signs are strictly opposite, so the signs decide
         e = Segment4(Point4(0, -1, 1, 0), Point4(0, 1, 2, 0))
-        assert segment_tetra_predicate(e, simplex_tetra) is False
+        assert seg_tetra_hit(e, simplex_tetra) is False
         assert segment_tetra_direct(e, simplex_tetra) is None
 
     def test_zero_facet_sign_without_mix_raises(self, simplex_tetra):
         # crosses the hyperplane at (1/2, 1/2, 0, 0), on two facets' 2-planes
         e = Segment4(Point4(F(1, 2), F(1, 2), -1, -1), Point4(F(1, 2), F(1, 2), 1, 1))
-        with pytest.raises(DegeneratePosition):
-            segment_tetra_predicate(e, simplex_tetra)
+        assert seg_tetra_hit(e, simplex_tetra) is True
         assert segment_tetra_direct(e, simplex_tetra) == Point4(F(1, 2), F(1, 2), 0, 0)
 
     def test_predicate_raises_only_on_undecided_zeros(self, simplex_tetra):
         """On lattice segments against the simplex, where zero signs are
-        common, the predicate equals the direct test whenever it answers,
-        and raises only for an endpoint on the hyperplane or for a zero
-        facet sign with no strict + beside a strict -."""
+        common, the one sign decision equals the witness's existence on
+        every pair, including an endpoint on the hyperplane and a zero facet
+        sign; a straddling pair with a zero facet sign beside a strict +
+        and a strict - is a miss."""
         rng = random.Random(7)
         pre = TetraPre(simplex_tetra)
-        undecided = mixed = 0
+        zeros = mixed = 0
         for _ in range(3000):
             a, b = (Point4(*(rng.randint(-1, 2) for _ in range(4))) for _ in range(2))
             if a == b:
@@ -356,16 +348,13 @@ class TestSegmentTetra:
             direct = segment_tetra_direct(e, simplex_tetra, pre) is not None
             sides = [sum(p) - 1 for p in (a, b)]
             sigs = [eps * orient5(a, b, *f) for eps, f in zip(pre.eps, pre.facets)]
-            try:
-                assert segment_tetra_predicate(e, simplex_tetra, pre) == direct
-            except DegeneratePosition:
-                undecided += 1
-                assert 0 in sides or (0 in sigs and not (1 in sigs and -1 in sigs))
-            else:
-                if sides[0] * sides[1] < 0 and 0 in sigs:
-                    mixed += 1
-                    assert 1 in sigs and -1 in sigs and not direct
-        assert undecided > 0 and mixed > 0
+            assert seg_tetra_hit(e, simplex_tetra, pre) == direct
+            if 0 in sides or (0 in sigs and not (1 in sigs and -1 in sigs)):
+                zeros += 1
+            elif sides[0] * sides[1] < 0 and 0 in sigs:
+                mixed += 1
+                assert 1 in sigs and -1 in sigs and not direct
+        assert zeros > 0 and mixed > 0
 
     def test_segment_inside_hyperplane(self, simplex_tetra):
         # both endpoints on the hyperplane; crosses the tetra
@@ -387,17 +376,16 @@ SPEC_T2 = Triangle4(
 
 class TestTriTri:
     def test_constructed_pair_meets(self):
-        assert tri_tri_predicate(SPEC_T1, SPEC_T2) is True
+        assert tri_tri_hit(SPEC_T1, SPEC_T2) is True
         assert tri_tri_direct(SPEC_T1, SPEC_T2) == Point4(F(1, 2), F(1, 2), 0, 0)
 
     def test_translated_pair_misses(self):
         t2 = Triangle4(*(Point4(p.x + F(5, 2), p.y + F(5, 2), p.z, p.w)
                          for p in SPEC_T2.vertices))
-        assert tri_tri_predicate(SPEC_T1, t2) is False
+        assert tri_tri_hit(SPEC_T1, t2) is False
         assert tri_tri_direct(SPEC_T1, t2) is None
 
     def test_predicate_equals_direct_random(self, rng):
-        degenerate = 0
         for _ in range(1000):
             a = rnd_triangle(rng, 6, 7)
             b = rnd_triangle(rng, 6, 7)
@@ -405,12 +393,7 @@ class TestTriTri:
                 direct = tri_tri_direct(a, b) is not None
             except DegeneratePosition:
                 direct = tri_tri_any(a, b) is not None
-            try:
-                assert tri_tri_predicate(a, b) == direct
-            except DegeneratePosition:
-                degenerate += 1
             assert tri_tri_hit(a, b) == direct
-        assert degenerate < 50
 
     def test_any_witness_membership(self, rng):
         hits = 0
@@ -446,8 +429,7 @@ class TestLine2Flat:
 
     def test_contained_line(self):
         line = Segment4(Point4(0, 0, 0, 0), Point4(1, 1, 0, 0))
-        with pytest.raises(Contained):
-            line_2flat_meet(line, self.FLAT)
+        assert line_2flat_meet(line, self.FLAT) == line.a
 
     def test_random_generic_pairs_absent(self, rng):
         # in general position a line and a 2-flat in R^4 do not meet
@@ -743,3 +725,73 @@ class TestTetraTetraSignReject:
         # so the enumeration runs and finds the miss
         assert tetra_tetra_intersect(simplex_tetra, shifted((5, -5, 0, 0))) is None
         assert "segment_tetra_direct" in calls and "tri_tri_any" in calls
+
+
+# ---------------------------------------------------------------------------
+# each problem's one sign decision against an independent check
+
+
+@st.composite
+def _lattice_pool(draw):
+    """A random source and a pool of 5 to 9 lattice points in [-2, 2]^4,
+    which may lie in the hyperplane w = x.  Objects picked from the pool
+    share vertices, so zero signs are common."""
+    rnd = random.Random(draw(st.integers(0, 2 ** 32)))
+    pool = [[rnd.randint(-2, 2) for _ in range(4)] for _ in range(rnd.randint(5, 9))]
+    if draw(st.booleans()):
+        for p in pool:
+            p[3] = p[0]
+    return rnd, [Point4(*p) for p in pool]
+
+
+def _picks(rnd, pool, make, k, count):
+    """Up to `count` objects make(*k pool points); degenerate picks are
+    skipped."""
+    out = []
+    for _ in range(4 * count):
+        try:
+            out.append(make(*rnd.sample(pool, k)))
+        except (ValueError, DegenerateTetrahedron):
+            continue
+        if len(out) == count:
+            break
+    return out
+
+
+def _affine_hulls_meet(p, q):
+    """The affine hulls of the point lists p and q share a point: the system
+    sum u_i p_i = sum v_k q_k, sum u = sum v = 1 is consistent."""
+    rows = [[*(x[c] for x in p), *(-y[c] for y in q)] for c in range(4)]
+    rows += [[1] * len(p) + [0] * len(q), [0] * len(p) + [1] * len(q)]
+    return _rref(rows, [0, 0, 0, 0, 1, 1]) is not None
+
+
+class TestSignDecisions:
+    @settings(max_examples=300, deadline=None)
+    @given(_lattice_pool())
+    def test_seg_tetra_hit(self, rp):
+        rnd, pool = rp
+        for t in _picks(rnd, pool, Tetrahedron4, 4, 2):
+            pre = TetraPre(t)
+            for e in _picks(rnd, pool, Segment4, 2, 4):
+                meet = simplex_meet_vertices([(e.a, e.b), t.vertices])
+                assert seg_tetra_hit(e, t, pre) == bool(meet)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lattice_pool())
+    def test_tri_tri_hit(self, rp):
+        rnd, pool = rp
+        tris = _picks(rnd, pool, Triangle4, 3, 6)
+        for a, b in zip(tris[::2], tris[1::2]):
+            meet = simplex_meet_vertices([a.vertices, b.vertices])
+            assert tri_tri_hit(a, b) == bool(meet)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_lattice_pool())
+    def test_line_flat_hit(self, rp):
+        rnd, pool = rp
+        problem = PROBLEMS[SETUP_LINE_2FLAT]
+        for tri in _picks(rnd, pool, Triangle4, 3, 2):
+            flat = problem.prep_input(tri.vertices)
+            for line in _picks(rnd, pool, Segment4, 2, 4):
+                assert problem.hit(line, flat) == _affine_hulls_meet((line.a, line.b), flat)

@@ -18,7 +18,6 @@ from tet4d.oracle import (
     SETUP_LINE_2FLAT,
     IntersectionReport,
     QueryMode,
-    _flat_witness,
     arrangement_k_counts,
     brute_query,
     line_2flat_query,
@@ -165,7 +164,7 @@ class TestRayShoot:
 
 class TestLineFlatQuery:
     def test_batch_matches_kernel(self, rng):
-        from tet4d.kernel4d import Contained, line_2flat_meet
+        from tet4d.kernel4d import line_2flat_meet
 
         flats = [rnd_flat(rng, 6, 6) for _ in range(15)]
         lines = []
@@ -180,10 +179,7 @@ class TestLineFlatQuery:
         expect = 0
         for ln in lines:
             for fl in flats:
-                try:
-                    expect += line_2flat_meet(ln, fl) is not None
-                except Contained:
-                    expect += 1
+                expect += line_2flat_meet(ln, fl) is not None
         assert rep.count == expect and expect >= len(lines)
 
 
@@ -219,14 +215,14 @@ class TestLineFlatSignFirst:
         falls where it was built: inside and through-a-point lines meet
         their flat with orient5 zero, parallel ones miss it with orient5
         zero, and nonzero orient5 is a miss."""
-        hit = PROBLEMS[SETUP_LINE_2FLAT].hit
+        hit, witness = PROBLEMS[SETUP_LINE_2FLAT][2:]
         lines, flats, kinds = _line_flat_scene(rng)
         seen = set()
         for ln, (kind, k) in zip(lines, kinds):
             for j, fl in enumerate(flats):
                 zero = orient5(ln.a, ln.b, *fl) == 0
                 got = hit(ln, fl)
-                assert got == (_flat_witness(ln, fl) is not None)
+                assert got == (witness(ln, fl) is not None)
                 if j == k and kind != "random":
                     assert zero and got == (kind != "parallel")
                 seen.add((zero, got))

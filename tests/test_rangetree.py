@@ -519,6 +519,55 @@ class TestDegenerateLeaves:
         assert any(e.a.w == e.b.w for e in segs)
 
 
+def _lattice_triangles(rng, count):
+    """Triangles on a pool of 7 lattice points in [-2, 2]^4, so that they
+    share vertices and edges and zero edge signs are common."""
+    pool = [rnd_point(rng, 2) for _ in range(7)]
+    tris = []
+    while len(tris) < count:
+        try:
+            tris.append(Triangle4(*rng.sample(pool, 3)))
+        except ValueError:
+            continue
+    return tris
+
+
+class TestLeafFallbacks:
+    """The leaf's direct-solver fallback never gets a sign tuple that the
+    problem's sign decision already misses, and the reports still equal the
+    oracle's."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_no_mixed_group_reaches_the_witness(self, seed, monkeypatch):
+        rng = random.Random(seed)
+        tets, segs = _degenerate_scene(rng)
+        tris = _lattice_triangles(rng, 24)
+        witness = rt._Setup.witness
+        zero_calls = []
+
+        def checked(setup, ctx, j):
+            sig, levels = setup.sigma(ctx, j), setup.levels
+            assert len(sig) == len(levels)
+            for g in {l.group for l in levels}:
+                signs = {s * l.role for s, l in zip(sig, levels) if l.group == g}
+                assert not {1, -1} <= signs, (sig, g)
+            zero_calls.append(0 in sig)
+            return witness(setup, ctx, j)
+
+        monkeypatch.setattr(rt._Setup, "witness", checked)
+        for setup, inputs, queries in ((rt.SETUP_SEG_TETRA, tets, segs),
+                                       (rt.SETUP_TETRA_SEG, segs, tets),
+                                       (rt.SETUP_TRI_TRI, tris[:12], tris[12:])):
+            for leaf_min, sigma in _LEAF_RULES:
+                monkeypatch.setattr(rt, "LEAF_MIN", leaf_min)
+                st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
+                for mode in MODES:
+                    rep, _stats, _per = rt.query_batch(st, queries, mode)
+                    assert rep == brute_query(setup, queries, inputs, mode), \
+                        (setup, leaf_min, sigma, mode)
+        assert any(zero_calls)
+
+
 def test_setup_iii_is_setup_i_transposed():
     # a tetrahedron's query forms in (iii) are its stored vectors in (i), and
     # a segment's stored vectors in (iii) are its query forms in (i)
