@@ -2,10 +2,10 @@
 
 For n tetrahedra in R^4 the module reports:
 
-* one witness vertex per intersecting pair, found by two joins of owned
-  objects in the structure (edges against tetrahedra, 2-faces against
-  2-faces).  No edge or face is tested against its own tetrahedron, and
-  only a pair's first hit solves for its witness,
+* one witness vertex per intersecting pair: a sweep over the tetrahedra's
+  closed integer boxes finds the candidate pairs, side signs reject those
+  with one tetrahedron strictly on one side of the other's hyperplane, and
+  the first edge or 2-face hit of each remaining pair is its witness,
 * the full convex intersection polygon of a pair,
 * triples with a common point and 4-wise intersection points, found from
   each tetrahedron t0's contact pieces with its larger-index neighbours.
@@ -39,18 +39,19 @@ from .kernel4d import (
     DegeneratePosition,
     EmptyIntersection,
     Point4,
-    Segment4,
     Tetrahedron4,
     TetraPre,
     Triangle4,
     _PAIRS,
+    _box,
     _chart2,
     _dot,
     _dot5,
     _integral,
+    _meets,
+    _off_plane,
     det3,
-    tetra_edges,
-    tetra_facets,
+    edge_face_witness,
     tri_tri_any,
 )
 from .oracle import _canon_point
@@ -70,30 +71,38 @@ class IntersectionPolygon:
 
 
 # ---------------------------------------------------------------------------
-# pairwise witnesses via batched structure queries
+# pairwise witnesses by a box sweep
+
+
+def _box_pairs(boxes) -> List[Tuple[int, int]]:
+    """Every pair (i, j), i < j, whose closed boxes meet, in pair order, by
+    a sweep along x (sweep and prune): each box in order of low x against
+    the active boxes, those whose high x reaches that low x, by ``_meets``."""
+    active = []
+    out = []
+    for i in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        active = [j for j in active if boxes[j][4] >= boxes[i][0]]
+        out += [(min(i, j), max(i, j)) for j in active if _meets(boxes[i], boxes[j])]
+        active.append(i)
+    return sorted(out)
 
 
 def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
     """One witness vertex per intersecting pair, in pair order; the pair set
-    equals the oracle's k2 pair set.
-
-    Two joins of owned objects (``rangetree._batched``): every edge against
-    the tetrahedra, then every 2-face against the 2-faces.  No object is
-    tested against its own tetrahedron, nor against one already paired with
-    it, by the edge join or by an earlier query; a pair keeps the witness of
-    its first hit, edges before faces, which is the only one solved for."""
-    from . import rangetree as rt
-
-    tets = list(enumerate(tetrahedra))
-    edges = [(i, Segment4(u, v)) for i, t in tets for (u, v) in tetra_edges(t)]
-    faces = [(i, Triangle4(*f)) for i, t in tets for f in tetra_facets(t)]
-    found: Dict[Tuple[int, int], PairWitness] = {}
-    for setup, inputs, queries, kind in ((rt.SETUP_SEG_TETRA, tets, edges, "EDGE_TETRA"),
-                                         (rt.SETUP_TRI_TRI, faces, faces, "FACE_FACE")):
-        witnesses, _ = rt._batched(setup, inputs, queries, paired=tuple(found))
-        for key, w in witnesses.items():
-            found[key] = PairWitness(key, _canon_point(w), kind)
-    return [found[k] for k in sorted(found)]
+    equals the oracle's k2 pair set.  The candidates are the pairs whose
+    closed integer boxes meet (``_box_pairs``).  A pair with one tetrahedron
+    strictly on one side of the other's hyperplane misses (``_off_plane``),
+    and each other pair (a, b), a < b, keeps ``edge_face_witness(ta, tb)``."""
+    pres = [TetraPre(t) for t in tetrahedra]
+    out = []
+    for a, b in _box_pairs([_box(t.vertices) for t in tetrahedra]):
+        ta, tb, pa, pb = tetrahedra[a], tetrahedra[b], pres[a], pres[b]
+        if _off_plane(pb, ta.vertices) or _off_plane(pa, tb.vertices):
+            continue
+        hit = edge_face_witness(ta, tb, pa, pb)
+        if hit is not None:
+            out.append(PairWitness((a, b), _canon_point(hit[0]), hit[1]))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +226,7 @@ def _fan_triangles(v: Sequence[Point4]):
     return [(v[0], v[k], v[k + 1]) for k in range(1, len(v) - 1)]
 
 
-def _box(verts):
+def _piece_box(verts):
     return tuple((min(p[k] for p in verts), max(p[k] for p in verts)) for k in range(4))
 
 
@@ -286,7 +295,7 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
             continue
         if not verts:
             raise EmptyIntersection(f"pair {(self_index, idx)} does not intersect")
-        pieces.append((idx, pre, verts, [_row(p) for p in verts], _box(verts)))
+        pieces.append((idx, pre, verts, [_row(p) for p in verts], _piece_box(verts)))
 
     triples = {}
     ends_by_pair = {}

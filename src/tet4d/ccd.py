@@ -38,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .kernel4d import Point4, Tetrahedron4, as_exact, det3, tetra_tetra_intersect
+from .kernel4d import Point4, as_exact, det3
 from .oracle import IntersectionReport, QueryMode
 
 
@@ -288,13 +288,3 @@ def detect_collisions(scene: Sequence[MovingTetrahedron], mode: QueryMode) -> In
         return IntersectionReport(bool(hits), len(hits), [])
     return IntersectionReport(bool(hits), len(hits), hits)
 
-
-def collision_verified_at(scene, i: int, j: int, t) -> bool:
-    """Instantaneous check: do tetrahedra i and j intersect at time t?
-    Embeds both instantaneous tetrahedra in the hyperplane w = 0 and runs
-    the exact 4D tetra-tetra test."""
-    va = scene[i].at_time(t)
-    vb = scene[j].at_time(t)
-    ta = Tetrahedron4(*(Point4(*v, 0) for v in va))
-    tb = Tetrahedron4(*(Point4(*v, 0) for v in vb))
-    return tetra_tetra_intersect(ta, tb) is not None

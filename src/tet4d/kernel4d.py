@@ -176,9 +176,6 @@ class Tetrahedron4:
 # facet i is opposite vertex i, remaining vertices in index order
 _FACETS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
 
-# tetra edges as vertex index pairs
-_TET_EDGES = _PAIRS
-
 
 def tetra_facets(t: Tetrahedron4):
     v = t.vertices
@@ -187,7 +184,19 @@ def tetra_facets(t: Tetrahedron4):
 
 def tetra_edges(t: Tetrahedron4):
     v = t.vertices
-    return tuple((v[i], v[j]) for i, j in _TET_EDGES)
+    return tuple((v[i], v[j]) for i, j in _PAIRS)
+
+
+def _box(points):
+    """Closed integer box (floor lo_0..3, ceil hi_0..3) of 4-D points."""
+    cols = tuple(zip(*points))
+    return tuple(math.floor(min(c)) for c in cols) + tuple(math.ceil(max(c)) for c in cols)
+
+
+def _meets(a, b):
+    """The closed boxes a and b overlap."""
+    return (a[0] <= b[4] and b[0] <= a[4] and a[1] <= b[5] and b[1] <= a[5]
+            and a[2] <= b[6] and b[2] <= a[6] and a[3] <= b[7] and b[3] <= a[7])
 
 
 @dataclass(frozen=True)
@@ -615,14 +624,14 @@ def tri_tri_direct(t1: Triangle4, t2: Triangle4) -> Optional[Point4]:
     return _tri_point(t1, s, t)
 
 
-def tri_tri_hit(t1: Triangle4, t2: Triangle4,
-                pre1: Optional[TrianglePre] = None,
-                pre2: Optional[TrianglePre] = None) -> bool:
-    """Exact closed-set test of t1 meeting t2, for every layout: two groups
-    of three calibrated edge signs, t2's edges against t1's 2-plane, then
-    t1's against t2's.  A group with a strict + beside a strict - is a miss,
+def _tri_tri_case(t1: Triangle4, t2: Triangle4, pre1: Optional[TrianglePre] = None,
+                  pre2: Optional[TrianglePre] = None) -> Optional[bool]:
+    """Triangle-triangle decided by signs: False on a miss, True on a hit,
+    None when a zero sign leaves it to ``tri_tri_any``.  Two groups of three
+    calibrated edge signs, t2's edges against t1's 2-plane, then t1's
+    against t2's.  A group with a strict + beside a strict - is a miss,
     found at the first strict sign that differs from the group's first; with
-    no zero sign the pair is a hit; ``tri_tri_any`` decides the rest.
+    no zero sign the pair is a hit.
 
     Proof, for T = t2 against t1's 2-plane.  On homogeneous rows (x, 1),
     orient5(y, z, *t1) = det(Y, Z, F) is an alternating form w on the
@@ -649,7 +658,17 @@ def tri_tri_hit(t1: Triangle4, t2: Triangle4,
                 first = s
             elif s != first:
                 return False
-    return not zero or tri_tri_any(t1, t2) is not None
+    return None if zero else True
+
+
+def tri_tri_hit(t1: Triangle4, t2: Triangle4,
+                pre1: Optional[TrianglePre] = None,
+                pre2: Optional[TrianglePre] = None) -> bool:
+    """Exact closed-set test of t1 meeting t2, for every layout: the signs
+    of ``_tri_tri_case``, which proves each step, and ``tri_tri_any`` where
+    a zero sign leaves the pair undecided."""
+    case = _tri_tri_case(t1, t2, pre1, pre2)
+    return tri_tri_any(t1, t2) is not None if case is None else case
 
 
 # ---------------------------------------------------------------------------
@@ -832,13 +851,36 @@ def line_2flat_meet(line: Segment4, flat) -> Optional[Point4]:
 
 
 # ---------------------------------------------------------------------------
-# tetra vs tetra (used by CCD and as an oracle primitive)
+# tetra vs tetra (the oracle's pair test and the arrangement's witnesses)
 
 
 def _off_plane(pre: TetraPre, vertices) -> bool:
     """All of `vertices` strictly on one side of pre's hyperplane."""
     sides = [_dot(pre.n, v) - pre.c for v in vertices]
     return all(x > 0 for x in sides) or all(x < 0 for x in sides)
+
+
+def edge_face_witness(t1: Tetrahedron4, t2: Tetrahedron4, pre1: TetraPre, pre2: TetraPre):
+    """The first hit, as (point, kind), of t1's edges against t2, then t2's
+    edges against t1 (kind "EDGE_TETRA"), then t1's 2-faces against t2's
+    (kind "FACE_FACE"), in ``tetra_edges`` and ``tetra_facets`` order.  Every
+    vertex of the intersection polytope lies on an edge of one tetrahedron
+    or on a 2-face of each, so None is a miss.  Only face pairs whose signs
+    (``_tri_tri_case``) do not miss are solved."""
+    for a, b, pre in ((t1, t2, pre2), (t2, t1, pre1)):
+        for (u, v) in tetra_edges(a):
+            w = segment_tetra_direct(Segment4(u, v), b, pre)
+            if w is not None:
+                return w, "EDGE_TETRA"
+    faces2 = [TrianglePre(Triangle4(*f)) for f in tetra_facets(t2)]
+    for f in tetra_facets(t1):
+        pa = TrianglePre(Triangle4(*f))
+        for pb in faces2:
+            if _tri_tri_case(pa.tri, pb.tri, pa, pb) is not False:
+                w = tri_tri_any(pa.tri, pb.tri)
+                if w is not None:
+                    return w, "FACE_FACE"
+    return None
 
 
 def tetra_tetra_intersect(t1: Tetrahedron4, t2: Tetrahedron4,
@@ -849,37 +891,18 @@ def tetra_tetra_intersect(t1: Tetrahedron4, t2: Tetrahedron4,
     First a sign reject: when the four vertices of one tetrahedron lie
     strictly on one side of the other's hyperplane (n . v - c all > 0 or
     all < 0), that tetrahedron lies in an open halfspace and the other in
-    its boundary hyperplane, so they miss.  A zero sign falls through.
-    Then the enumeration, complete for all positions: vertex containment,
-    edge-vs-body, and 2-face-vs-2-face cover every vertex of the
-    intersection polytope.
-    """
+    its boundary hyperplane, so they miss.  A zero sign falls through to
+    vertex containment, then ``edge_face_witness``."""
     pre1 = pre1 or TetraPre(t1)
     pre2 = pre2 or TetraPre(t2)
     if _off_plane(pre2, t1.vertices) or _off_plane(pre1, t2.vertices):
         return None
-    for v in t1.vertices:
-        if pre2.contains(v):
-            return Point4(*v)
-    for v in t2.vertices:
-        if pre1.contains(v):
-            return Point4(*v)
-    for (u, v) in tetra_edges(t1):
-        w = segment_tetra_direct(Segment4(u, v), t2, pre2)
-        if w is not None:
-            return w
-    for (u, v) in tetra_edges(t2):
-        w = segment_tetra_direct(Segment4(u, v), t1, pre1)
-        if w is not None:
-            return w
-    faces1 = [Triangle4(*f) for f in tetra_facets(t1)]
-    faces2 = [Triangle4(*f) for f in tetra_facets(t2)]
-    for fa in faces1:
-        for fb in faces2:
-            w = tri_tri_any(fa, fb)
-            if w is not None:
-                return w
-    return None
+    for t, pre in ((t1, pre2), (t2, pre1)):
+        for v in t.vertices:
+            if pre.contains(v):
+                return Point4(*v)
+    hit = edge_face_witness(t1, t2, pre1, pre2)
+    return None if hit is None else hit[0]
 
 
 # ---------------------------------------------------------------------------

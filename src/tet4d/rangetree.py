@@ -61,8 +61,6 @@ setup has no boxes and prunes by its zero-set level alone.
 
 from __future__ import annotations
 
-import math
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -74,7 +72,9 @@ from .kernel4d import (
     Segment4,
     TetraPre,
     TrianglePre,
+    _box,
     _integral,
+    _meets,
     dual10,
     plucker10,
 )
@@ -215,22 +215,10 @@ def _form_range(form, lo, hi):
     return a, b
 
 
-def _box(points):
-    """Closed integer box (floor lo_0..3, ceil hi_0..3) of 4-D points."""
-    cols = tuple(zip(*points))
-    return tuple(math.floor(min(c)) for c in cols) + tuple(math.ceil(max(c)) for c in cols)
-
-
 def _hull(boxes):
     """The smallest box containing every box of ``boxes``."""
     cols = tuple(zip(*boxes))
     return tuple(map(min, cols[:4])) + tuple(map(max, cols[4:]))
-
-
-def _meets(a, b):
-    """The closed boxes a and b overlap."""
-    return (a[0] <= b[4] and b[0] <= a[4] and a[1] <= b[5] and b[1] <= a[5]
-            and a[2] <= b[6] and b[2] <= a[6] and a[3] <= b[7] and b[3] <= a[7])
 
 
 def _classify(lo, hi, target: int) -> str:
@@ -478,7 +466,7 @@ class _Setup:
         filled in, which is left out: a tuple shorter than the level list is
         a miss.  After the roles, such a group holds a strict + beside a
         strict - (a miss by ``kernel4d._seg_tetra_case`` and
-        ``kernel4d.tri_tri_hit``, which prove it) or a nonzero zero-set sign
+        ``kernel4d._tri_tri_case``, which prove it) or a nonzero zero-set sign
         (a line that meets a 2-flat has orient5 zero)."""
         sig = ctx.sigma_cache.get(j)
         if sig is None:
@@ -562,9 +550,9 @@ class _DetectHit(Exception):
 class _Run:
     """Mutable state of one query evaluation."""
 
-    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "detect", "skip")
+    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "detect")
 
-    def __init__(self, struct, ctx, mode, skip=None):
+    def __init__(self, struct, ctx, mode):
         self.struct = struct
         self.ctx = ctx
         self.mode = mode
@@ -572,22 +560,19 @@ class _Run:
         self.hits = []
         self.witnesses = {}       # object -> the point its fallback found
         self.detect = mode == QueryMode.DETECT
-        self.skip = skip          # objects never to test: the query owner's, and paired owners'
 
 
 def _leaf_match(run: _Run, items, passes):
-    """Resolve leaf items exactly for the given passes.  Items to skip and
-    items whose box misses the query's are dropped first.  A sign tuple
-    shorter than the level list is a miss (``_Setup.sigma``); a full one
-    with no zero is a hit iff it is a pass's target, the problem's sign
-    rule.  A full tuple with a zero, in its canonical pass, goes to the
-    problem's witness, which is kept for the report."""
+    """Resolve leaf items exactly for the given passes.  Items whose box
+    misses the query's are dropped first.  A sign tuple shorter than the
+    level list is a miss (``_Setup.sigma``); a full one with no zero is a
+    hit iff it is a pass's target, the problem's sign rule.  A full tuple
+    with a zero, in its canonical pass, goes to the problem's witness,
+    which is kept for the report."""
     setup = run.struct.setup
     ctx = run.ctx
     stats = run.stats
     qbox = ctx.box
-    if run.skip:
-        items = [j for j in items if j not in run.skip]
     if qbox is not None:
         boxes = setup.boxes
         items = [j for j in items if _meets(qbox, boxes[j])]
@@ -626,8 +611,6 @@ def _record(run: _Run, j: int):
 
 
 def _absorb(run: _Run, items):
-    if run.skip:
-        items = [j for j in items if j not in run.skip]
     run.hits.extend(items)
     if run.detect and items:
         raise _DetectHit()
@@ -740,20 +723,16 @@ def batched_storage_parameter(m: int, n: int) -> int:
     return max(n, min(n ** 6, raw))
 
 
-def _batched(setup, inputs, queries, paired=()):
+def _batched(setup, inputs, queries):
     """The bichromatic join of owned objects: one structure on the inputs
     with s = batched_storage_parameter(m, n), descended once per query.
 
-    inputs and queries are sequences of (owner, object), and paired holds
-    owner pairs (a, b), a < b, already witnessed elsewhere.  A query never
-    tests an input of its own owner, nor one of an owner it is already
-    paired with, by ``paired`` or by an earlier query's hit: those items are
-    dropped at the leaves and from absorbed canonical sets, before any sign
-    is taken.  Returns (witnesses, aggregated QueryStats), where witnesses
-    maps each unordered owner pair (a, b), a < b, not in paired that some
-    query hits to one witness: that of the first hit in (query index, input
-    index) order.  Only that hit solves for its witness, and a point its
-    zero-sign fallback found is reused."""
+    inputs and queries are sequences of (owner, object).  Returns
+    (witnesses, aggregated QueryStats): witnesses maps each pair (a, b),
+    a < b, of distinct owners that some query hits to the witness of its
+    first hit in (query index, input index) order, the only hit solved for
+    (a point found by the zero-sign fallback is reused).  Hits on the
+    query's own owner are dropped after the descent."""
     m, n = len(queries), len(inputs)
     witnesses = {}
     total = QueryStats()
@@ -761,26 +740,14 @@ def _batched(setup, inputs, queries, paired=()):
         return witnesses, total
     st = build([x for _o, x in inputs], setup, StorageBudget(n, batched_storage_parameter(m, n)))
     s = st.setup
-    own = defaultdict(set)
-    for j, (o, _x) in enumerate(inputs):
-        own[o].add(j)
-    skip = defaultdict(set, {o: set(js) for o, js in own.items()})  # owner -> inputs never tested
-
-    def pair(a, b):
-        skip[a] |= own[b]
-        skip[b] |= own[a]
-
-    for a, b in paired:
-        pair(a, b)
     for qo, q in queries:
         ctx = s.make_ctx(q)
-        run = _descend(_Run(st, ctx, QueryMode.REPORT, skip=skip[qo]))
+        run = _descend(_Run(st, ctx, QueryMode.REPORT))
         total.add(run.stats)
         for j in sorted(run.hits):
             xo = inputs[j][0]
             key = (qo, xo) if qo < xo else (xo, qo)
-            if key not in witnesses:
+            if qo != xo and key not in witnesses:
                 w = run.witnesses.get(j)
                 witnesses[key] = s.witness(ctx, j) if w is None else w
-                pair(qo, xo)
     return witnesses, total

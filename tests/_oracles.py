@@ -5,9 +5,10 @@ permutation expansion, triangle membership by a 2x2 solve in the triangle's
 plane, calibration signs by an interior probe line (the package uses their
 closed form), segment/tetrahedron feasibility by a direct rational solve of
 the barycentric system.  The CCD references at the end are the exception.
-The lifted prism runs the package's 4D predicates, which CCD's own pair test
-does not use, and ``swept_sat_reference`` is a frozen copy of that pair test
-as it was before it ran in integers, with Fraction clips.  Likewise
+The lifted prism and ``collision_verified_at`` (both tetrahedra at one
+instant, in w = 0) run the package's 4D predicates, which CCD's own pair
+test does not use, and ``swept_sat_reference`` is a frozen copy of that
+pair test as it was before it ran in integers, with Fraction clips.  Likewise
 ``tetra_tetra_reference`` is a frozen copy of the tetrahedron pair test as
 it was before its sign reject, on the package's own solvers.
 """
@@ -40,6 +41,7 @@ from tet4d.kernel4d import (
     tetra_edges,
     tetra_facets,
     tetra_plane,
+    tetra_tetra_intersect,
     tri_tri_any,
     tri_tri_direct,
     tri_tri_hit,
@@ -628,6 +630,17 @@ def lifted_pairs(scene):
     prisms = [LiftedPrism(mt) for mt in scene]
     return [(i, j) for i in range(len(prisms)) for j in range(i + 1, len(prisms))
             if lifted_prism_meet(prisms[i], prisms[j]) is not None]
+
+
+def collision_verified_at(scene, i: int, j: int, t) -> bool:
+    """Instantaneous check: do tetrahedra i and j intersect at time t?
+    Embeds both instantaneous tetrahedra in the hyperplane w = 0 and runs
+    the exact 4D tetra-tetra test."""
+    va = scene[i].at_time(t)
+    vb = scene[j].at_time(t)
+    ta = Tetrahedron4(*(Point4(*v, 0) for v in va))
+    tb = Tetrahedron4(*(Point4(*v, 0) for v in vb))
+    return tetra_tetra_intersect(ta, tb) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -187,8 +187,8 @@ def test_predicate_direct_agreement():
 
 
 def test_ccd_acceptance():
-    from _oracles import lifted_pairs
-    from tet4d.ccd import MovingTetrahedron, collision_verified_at, detect_collisions
+    from _oracles import collision_verified_at, lifted_pairs
+    from tet4d.ccd import MovingTetrahedron, detect_collisions
 
     rng = random.Random(0xCCD)
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from _oracles import brute_k_subsets, contact_reference, pairwise_reference, simplex_meet_vertices
 from conftest import cluster_tetra, rnd_tetra
-from tet4d import arrangement, kernel4d, oracle
+from tet4d import arrangement, kernel4d
 from tet4d import rangetree as rt
 from tet4d.arrangement import (
     intersection_polygon,
@@ -42,9 +42,9 @@ class TestPairwise:
         assert pairwise(far_apart_tetra(rng, 5)) == []
 
     def test_pair_set_matches_oracle(self, rng):
-        for _ in range(4):
-            tets = cluster_tetra(rng, tuple(rng.randint(-4, 4) for _ in range(4)),
-                                 rng.randint(4, 7)) + [rnd_tetra(rng, 5, 8) for _ in range(5)]
+        scenes = [cluster_tetra(rng, tuple(rng.randint(-4, 4) for _ in range(4)), rng.randint(4, 7))
+                  + [rnd_tetra(rng, 5, 8) for _ in range(5)] for _ in range(4)]
+        for tets in scenes + _uniform_scenes():
             kc = arrangement_k_counts(tets)
             got = pairwise(tets)
             assert [w.pair for w in got] == kc.pair_set
@@ -84,18 +84,23 @@ def _seeded_scenes():
     return scenes + [_lattice_scene(rng) for _ in range(40)]
 
 
+def _uniform_scenes():
+    """Two seeded uniform scenes of 200 tetrahedra, most of them apart."""
+    return [decode_objects(generate("TETRAHEDRA", 200, 20, seed, spread=6)) for seed in (1, 2)]
+
+
 def _typed(witnesses):
     """PairWitness fields with int and Fraction coordinates told apart."""
     return [(w.pair, tuple((type(c), c) for c in w.vertex), w.kind) for w in witnesses]
 
 
 class TestSharedWork:
-    """Each exact object of the arrangement is computed once: the joins in
-    pairwise test no object against its own tetrahedron and solve one
-    witness per first hit, and k_counts builds each pair's contact once."""
+    """Each exact object of the arrangement is computed once: pairwise
+    solves only the pairs that the box sweep and the side signs leave, and
+    none after its first hit, and k_counts builds each pair's contact once."""
 
     def test_pairwise_equals_reference(self):
-        for tets in _seeded_scenes():
+        for tets in _seeded_scenes() + _uniform_scenes():
             assert _typed(pairwise(tets)) == _typed(pairwise_reference(tets))
 
     def test_k_counts_equal_oracle(self):
@@ -109,43 +114,58 @@ class TestSharedWork:
             assert k_counts(tets) == expected
         assert defined > 30
 
-    def test_witness_solves(self, monkeypatch):
-        owners = {}
-        solves = []     # the owners of the two objects of each direct solve
-        joins = []      # (solves made, pairs given as paired, result) per join
-        real_batched = rt._batched
+    def test_k_counts_build_no_structure(self, monkeypatch):
+        def build(*_args):
+            raise AssertionError("k_counts built a structure")
 
-        def batched(setup, inputs, queries, paired=()):
-            owners.clear()
-            owners.update((id(x), o) for o, x in (*inputs, *queries))
-            before = len(solves)
-            out = real_batched(setup, inputs, queries, paired=paired)
-            joins.append((solves[before:], set(paired), out))
-            return out
+        monkeypatch.setattr(rt, "build", build)
+        self.test_k_counts_equal_oracle()
+
+    def test_witness_solves(self, monkeypatch):
+        current = []    # the two tetrahedra of the running edge_face_witness
+        solves = {}     # (id, id) of those two -> each solve's result, in order
+        real_witness = arrangement.edge_face_witness
+
+        def witness(t1, t2, *rest):
+            current[:] = [t1, t2]
+            try:
+                return real_witness(t1, t2, *rest)
+            finally:
+                current.clear()
 
         def counted(real):
-            def solve(a, b, *rest):
-                solves.append((owners[id(a)], owners[id(b)]))
-                return real(a, b, *rest)
+            def solve(*args):
+                out = real(*args)
+                solves.setdefault(tuple(map(id, current)), []).append(out)
+                return out
             return solve
 
-        monkeypatch.setattr(rt, "_batched", batched)
-        monkeypatch.setattr(oracle, "segment_tetra_direct", counted(oracle.segment_tetra_direct))
-        monkeypatch.setattr(oracle, "tri_tri_any", counted(oracle.tri_tri_any))
-        fallbacks = 0
+        monkeypatch.setattr(arrangement, "edge_face_witness", witness)
+        monkeypatch.setattr(kernel4d, "segment_tetra_direct", counted(kernel4d.segment_tetra_direct))
+        monkeypatch.setattr(kernel4d, "tri_tri_any", counted(kernel4d.tri_tri_any))
+        by_boxes = by_sides = 0
         for tets in _seeded_scenes():
-            pairwise(tets)
-        assert joins and solves
-        assert all(a != b for a, b in solves)
-        for made, paired, (witnesses, stats) in joins:
-            fallback = stats.exact_predicate_calls - stats.leaf_items_scanned
-            fallbacks += fallback
-            assert len(made) <= len(witnesses) + fallback
-            # no solve for a pair that the edge join already witnessed
-            assert not {(min(a, b), max(a, b)) for a, b in made} & paired
-            assert not paired & set(witnesses)
-        assert fallbacks > 0
-        assert any(paired for _made, paired, _out in joins)
+            solves.clear()
+            got = pairwise(tets)
+            pres = [TetraPre(t) for t in tets]
+            solved = {}
+            for key, outs in solves.items():
+                # every solve runs for one pair, and none after its first hit
+                assert len(key) == 2 and all(o is None for o in outs[:-1])
+                a, b = (next(i for i, t in enumerate(tets) if id(t) == k) for k in key)
+                assert a < b
+                solved[(a, b)] = outs[-1] is not None
+            assert [w.pair for w in got] == sorted(p for p, hit in solved.items() if hit)
+            for a, b in itertools.combinations(range(len(tets)), 2):
+                if not _boxes_meet(tets[a].vertices, tets[b].vertices):
+                    by_boxes += 1
+                    assert (a, b) not in solved
+                elif _separated(pres[a], tets[b]) or _separated(pres[b], tets[a]):
+                    by_sides += 1
+                    assert (a, b) not in solved
+                else:
+                    assert (a, b) in solved
+        assert by_boxes > 0 and by_sides > 0
 
     def test_one_contact_per_pair(self, monkeypatch):
         contacts = []
@@ -379,6 +399,33 @@ def _reductions(tets):
 def _boxes_meet(va, vb):
     return all(min(p[k] for p in va) <= max(p[k] for p in vb)
                and min(p[k] for p in vb) <= max(p[k] for p in va) for k in range(4))
+
+
+def _separated(pre, t):
+    """Every vertex of t strictly on one side of pre's hyperplane."""
+    sides = {(d > 0) - (d < 0) for d in (sum(n * x for n, x in zip(pre.n, v)) - pre.c
+                                         for v in t.vertices)}
+    return sides in ({1}, {-1})
+
+
+class TestBoxSweep:
+    def test_pairs_equal_all_pairs_filter(self):
+        rng = random.Random(0xB0C5)
+        touching = tied = 0
+        for _ in range(300):
+            n = rng.randint(0, 12)
+            boxes = []
+            for _ in range(n):
+                lo = [rng.randint(-4, 4) for _ in range(4)]
+                boxes.append((*lo, *(x + rng.randint(0, 3) for x in lo)))
+            expected = [(i, j) for i, j in itertools.combinations(range(n), 2)
+                        if all(boxes[i][k] <= boxes[j][k + 4] and boxes[j][k] <= boxes[i][k + 4]
+                               for k in range(4))]
+            assert arrangement._box_pairs(boxes) == expected
+            for i, j in expected:
+                touching += boxes[i][4] == boxes[j][0] or boxes[j][4] == boxes[i][0]
+                tied += boxes[i][0] == boxes[j][0]
+        assert touching > 0 and tied > 0
 
 
 class TestTriplesInR4:

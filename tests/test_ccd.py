@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from _oracles import (
     LiftedPrism,
+    collision_verified_at,
     lifted_pairs,
     lifted_prism_meet,
     simplex_meet_vertices,
@@ -14,7 +15,6 @@ from _oracles import (
 from tet4d import ccd
 from tet4d.ccd import (
     MovingTetrahedron,
-    collision_verified_at,
     detect_collisions,
     lift,
     prism_pair_intersect,

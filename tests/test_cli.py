@@ -162,7 +162,7 @@ class TestFlatsCcdArrange:
         assert rep["count"] == len(rep["collisions"])
         from fractions import Fraction
 
-        from tet4d.ccd import collision_verified_at
+        from _oracles import collision_verified_at
 
         moving = decode_objects(load_scene(mv))
         for col in rep["collisions"]:
