@@ -87,16 +87,23 @@ def _box_pairs(boxes) -> List[Tuple[int, int]]:
     return sorted(out)
 
 
+def _pre(t) -> TetraPre:
+    """The TetraPre of t, a tetrahedron or already its TetraPre."""
+    return t if isinstance(t, TetraPre) else TetraPre(t)
+
+
 def pairwise(tetrahedra: Sequence[Tetrahedron4]) -> List[PairWitness]:
     """One witness vertex per intersecting pair, in pair order; the pair set
     equals the oracle's k2 pair set.  The candidates are the pairs whose
     closed integer boxes meet (``_box_pairs``).  A pair with one tetrahedron
     strictly on one side of the other's hyperplane misses (``_off_plane``),
-    and each other pair (a, b), a < b, keeps ``edge_face_witness(ta, tb)``."""
-    pres = [TetraPre(t) for t in tetrahedra]
+    and each other pair (a, b), a < b, keeps ``edge_face_witness(ta, tb)``.
+    A tetrahedron may be given as its TetraPre."""
+    pres = [_pre(t) for t in tetrahedra]
     out = []
-    for a, b in _box_pairs([_box(t.vertices) for t in tetrahedra]):
-        ta, tb, pa, pb = tetrahedra[a], tetrahedra[b], pres[a], pres[b]
+    for a, b in _box_pairs([_box(p.tet.vertices) for p in pres]):
+        pa, pb = pres[a], pres[b]
+        ta, tb = pa.tet, pb.tet
         if _off_plane(pb, ta.vertices) or _off_plane(pa, tb.vertices):
             continue
         hit = edge_face_witness(ta, tb, pa, pb)
@@ -227,7 +234,11 @@ def _fan_triangles(v: Sequence[Point4]):
 
 
 def _piece_box(verts):
-    return tuple((min(p[k] for p in verts), max(p[k] for p in verts)) for k in range(4))
+    """The exact box of a piece's vertices, in ``_meets``'s (lo, hi)
+    layout; ``_box`` would round it out to integers and let more pairs of
+    pieces through."""
+    cols = tuple(zip(*verts))
+    return tuple(map(min, cols)) + tuple(map(max, cols))
 
 
 def _chord(rows, pre: TetraPre):
@@ -245,7 +256,7 @@ def _triple(pa, pb):
     hyperplane, clipped by tb's facet forms."""
     _, _, verts_a, rows_a, box_a = pa
     _, pre_b, verts_b, _, box_b = pb
-    if any(box_a[k][1] < box_b[k][0] or box_b[k][1] < box_a[k][0] for k in range(4)):
+    if not _meets(box_a, box_b):
         return None
     chord = _chord(rows_a, pre_b)
     if len(chord) > 2:
@@ -282,13 +293,14 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
     facet forms; its segment (or point) is crossed with a fourth
     tetrahedron for the quadruples.  All of it runs on the pieces'
     homogeneous integer rows, which are exact, and only the witnesses, ends
-    and quadruple points become Fractions.
+    and quadruple points become Fractions.  Any tetrahedron may be given as
+    its TetraPre.
     """
-    pre0 = TetraPre(t0)
+    pre0 = _pre(t0)
     pieces = []
     for (idx, t) in neighbours:
-        pre = TetraPre(t)
-        verts = _contact(t0, t, pre0, pre)
+        pre = _pre(t)
+        verts = _contact(pre0.tet, pre.tet, pre0, pre)
         if verts is None:
             # t lies in t0's hyperplane: a triple through both is empty, or
             # its hyperplanes are dependent and the oracle is undefined
@@ -325,8 +337,10 @@ def per_tetra_reduction(t0: Tetrahedron4, neighbours: Sequence[Tuple[int, Tetrah
 
 
 def k_counts(tetrahedra: Sequence[Tetrahedron4]):
-    """(k2, k3, k4) by the reduction pipeline; equals the oracle counts."""
-    witnesses = pairwise(tetrahedra)
+    """(k2, k3, k4) by the reduction pipeline; equals the oracle counts.
+    Both steps share one TetraPre per tetrahedron."""
+    pres = [TetraPre(t) for t in tetrahedra]
+    witnesses = pairwise(pres)
     # each tetrahedron is reduced against its larger neighbours only, so
     # every contact, triple and quadruple is computed once, from its
     # smallest member
@@ -337,7 +351,7 @@ def k_counts(tetrahedra: Sequence[Tetrahedron4]):
     k3 = 0
     vert_keys = set()
     for i, nbrs in later.items():
-        triples, quads = per_tetra_reduction(tetrahedra[i], [(j, tetrahedra[j]) for j in nbrs], i)
+        triples, quads = per_tetra_reduction(pres[i], [(j, pres[j]) for j in nbrs], i)
         k3 += len(triples)
         for _wit, ends in triples.values():
             vert_keys.update(map(tuple, ends))

@@ -59,32 +59,6 @@ class MovingTetrahedron:
         if not self.t0 < self.t1:
             raise ValueError("empty time window")
 
-    def at_time(self, t):
-        """Vertices of the instantaneous tetrahedron at time t."""
-        return tuple(
-            tuple(self.vertices[i][k] + t * self.velocity[k] for k in range(3))
-            for i in range(4)
-        )
-
-    def contains_at(self, p3, t) -> bool:
-        """Exact 3D membership of p3 in the tetrahedron at time t."""
-        if not (self.t0 <= t <= self.t1):
-            return False
-        q = tuple(p3[k] - t * self.velocity[k] for k in range(3))
-        v = self.vertices
-        d = [tuple(v[i][k] - v[0][k] for k in range(3)) for i in (1, 2, 3)]
-        D = det3(*d)
-        r = tuple(q[k] - v[0][k] for k in range(3))
-        tot = Fraction(0)
-        for i in range(3):
-            rows = [list(x) for x in d]
-            rows[i] = list(r)
-            bi = Fraction(det3(*rows), D)
-            if bi < 0:
-                return False
-            tot += bi
-        return tot <= 1
-
 
 # face m is the one opposite vertex m; edge (i, j) with the other two vertices
 _FACES = ((1, 2, 3, 0), (0, 2, 3, 1), (0, 1, 3, 2), (0, 1, 2, 3))

@@ -21,7 +21,7 @@ box's low or high end, by the coefficient's sign.  INSIDE nodes forward
 their entire item set to the next level as a canonical set, OUTSIDE nodes
 are pruned, CROSSING nodes recurse.  A leaf takes the same dot products,
 group by group, and stops at a group that no pass accepts even with its
-zeros filled in, a miss (``_Setup.sigma``); other zero signs go to a
+zeros filled in, a miss (``_Run.sigma``); other zero signs go to a
 direct-solver fallback.  No parametrization is involved, so no input
 direction is special and no shear is needed.
 Results are exactly equal to the brute-force oracle on every input.
@@ -169,7 +169,7 @@ class QueryStats:
         forwarding an internal node's item set to the next level, or a
         last-level node's into the report.
     leaf_items_scanned: leaf items whose box meets the query's box, each of
-        which has its level signs taken (``_Setup.sigma``).  A leaf counts
+        which has its level signs taken (``_Run.sigma``).  A leaf counts
         its items once per visit, whether the visit's passes found it
         CROSSING or, at a level before the last, INSIDE.
     exact_predicate_calls: those sign evaluations plus the zero-sign
@@ -246,60 +246,53 @@ def _classify(lo, hi, target: int) -> str:
 class CanonicalNode:
     """One node of a level tree: a bounding box of its items' level vectors,
     the union of their primal boxes (None in the unbounded setup), the
-    canonical item set of its subtree, children for CROSSING descent, and
-    (lazily) the next-level structure built on exactly its item set.
+    canonical item set of its subtree, children for CROSSING descent (None
+    at a leaf), and (lazily) the root of the next level's tree built on
+    exactly its item set.
 
     A leaf holds at most max(leaf_cutoff, LEAF_MIN) items, unless their
-    level vectors are all equal, and never gets a next-level structure:
-    its items are resolved by exact signs."""
+    level vectors are all equal, and never gets a next-level tree: its items
+    are resolved by exact signs."""
 
-    __slots__ = ("items", "box_lo", "box_hi", "aabb", "children", "is_leaf", "_next")
+    __slots__ = ("items", "box_lo", "box_hi", "aabb", "children", "_next")
 
-    def __init__(self, items, box_lo, box_hi, aabb, children, is_leaf):
+    def __init__(self, items, box_lo, box_hi, aabb, children):
         self.items = items
         self.box_lo = box_lo
         self.box_hi = box_hi
         self.aabb = aabb
         self.children = children
-        self.is_leaf = is_leaf
         self._next = None
 
 
-class _Tree:
-    __slots__ = ("level", "dim", "root", "owner")
-
-    def __init__(self, owner: "MultiLevelStructure", level: int, items: Tuple[int, ...]):
-        self.owner = owner
-        self.level = level
-        self.dim = owner.levels[level].dim
-        self.root = self._build(items, 0)
-
-    def _build(self, items: Tuple[int, ...], depth: int) -> CanonicalNode:
-        owner = self.owner
-        pts = owner.points[self.level]
-        dim = self.dim
-        cols = list(zip(*(pts[i] for i in items)))
-        lo = tuple(map(min, cols))
-        hi = tuple(map(max, cols))
-        owner.built_nodes += 1
-        axis = None
-        if len(items) > max(owner.budget.leaf_cutoff, LEAF_MIN):
-            for probe in range(dim):
-                d = (depth + probe) % dim
-                if lo[d] != hi[d]:
-                    axis = d
-                    break
-        if axis is None:
-            # a small item set, or all points identical: a leaf
-            boxes = owner.setup.boxes
-            aabb = None if boxes is None else _hull(boxes[i] for i in items)
-            return CanonicalNode(items, lo, hi, aabb, None, True)
-        order = sorted(items, key=lambda i: (pts[i][axis], i))
-        mid = len(order) // 2
-        left = self._build(tuple(order[:mid]), depth + 1)
-        right = self._build(tuple(order[mid:]), depth + 1)
-        aabb = None if left.aabb is None else _hull((left.aabb, right.aabb))
-        return CanonicalNode(items, lo, hi, aabb, (left, right), False)
+def _build(struct: "MultiLevelStructure", level: int, items: Tuple[int, ...],
+           depth: int) -> CanonicalNode:
+    """The level tree on ``items``: a median split on a cyclic axis of the
+    level's vectors, down to leaves; returns its root."""
+    pts = struct.points[level]
+    dim = struct.levels[level].dim
+    cols = list(zip(*(pts[i] for i in items)))
+    lo = tuple(map(min, cols))
+    hi = tuple(map(max, cols))
+    struct.built_nodes += 1
+    axis = None
+    if len(items) > max(struct.budget.leaf_cutoff, LEAF_MIN):
+        for probe in range(dim):
+            d = (depth + probe) % dim
+            if lo[d] != hi[d]:
+                axis = d
+                break
+    if axis is None:
+        # a small item set, or all points identical: a leaf
+        boxes = struct.boxes
+        aabb = None if boxes is None else _hull(boxes[i] for i in items)
+        return CanonicalNode(items, lo, hi, aabb, None)
+    order = sorted(items, key=lambda i: (pts[i][axis], i))
+    mid = len(order) // 2
+    left = _build(struct, level, tuple(order[:mid]), depth + 1)
+    right = _build(struct, level, tuple(order[mid:]), depth + 1)
+    aabb = None if left.aabb is None else _hull((left.aabb, right.aabb))
+    return CanonicalNode(items, lo, hi, aabb, (left, right))
 
 
 # ---------------------------------------------------------------------------
@@ -415,72 +408,6 @@ _LAYOUTS = {
 }
 
 
-class _QueryCtx:
-    __slots__ = ("forms", "query", "box", "sigma_cache")
-
-    def __init__(self, forms, query, box):
-        self.forms = forms        # level -> integer form
-        self.query = query        # the prepared query object
-        self.box = box            # its closed integer box, or None
-        self.sigma_cache = {}
-
-
-class _Setup:
-    """One setup's input objects, prepared, and their vectors per level."""
-
-    def __init__(self, name: str, objects):
-        layout = _LAYOUTS[name]
-        self.problem = PROBLEMS[name]
-        self.levels = layout.levels
-        self.passes = layout.passes
-        self.query_forms = layout.query_forms
-        self.query_box = layout.query_box
-        self.prepared = [self.problem.prep_input(x) for x in objects]
-        self.points = list(zip(*map(layout.input_vectors, self.prepared)))
-        box = layout.input_box
-        self.boxes = None if box is None else [box(x) for x in self.prepared]
-        # per pass, the sign each level must have; per group, its levels and
-        # the sign tuples that some pass accepts once their zeros are filled in
-        levels = self.levels
-        self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
-        self.groups = []
-        for g in range(max(l.group for l in levels) + 1):
-            idx = tuple(i for i, l in enumerate(levels) if l.group == g)
-            accepted = {tuple(t[i] for i in idx) for t in self.targets.values()}
-            self.groups.append((idx, {tuple(x * k for x, k in zip(a, keep)) for a in accepted
-                                      for keep in product((0, 1), repeat=len(idx))}))
-
-    def make_ctx(self, qobj) -> _QueryCtx:
-        q = self.problem.prep_query(qobj)
-        box = None if self.query_box is None else self.query_box(q)
-        return _QueryCtx(self.query_forms(q), q, box)
-
-    def witness(self, ctx: _QueryCtx, j: int) -> Optional[Point4]:
-        """A point shared by object j and the query, or None if they miss:
-        the problem's exact closed-set test by its direct solver."""
-        return self.problem.witness(ctx.query, self.prepared[j])
-
-    def sigma(self, ctx: _QueryCtx, j: int):
-        """Per-level signs of object j against the query, group by group,
-        up to the first group that no pass accepts even with its zeros
-        filled in, which is left out: a tuple shorter than the level list is
-        a miss.  After the roles, such a group holds a strict + beside a
-        strict - (a miss by ``kernel4d._seg_tetra_case`` and
-        ``kernel4d._tri_tri_case``, which prove it) or a nonzero zero-set sign
-        (a line that meets a 2-flat has orient5 zero)."""
-        sig = ctx.sigma_cache.get(j)
-        if sig is None:
-            forms, points = ctx.forms, self.points
-            sig = ()
-            for idx, accepted in self.groups:
-                part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
-                if part not in accepted:
-                    break
-                sig += part
-            ctx.sigma_cache[j] = sig
-        return sig
-
-
 def _facet_sign(p, d):
     """Sign of the 10-term dot product of a Plücker vector and a dual vector."""
     v = (p[0] * d[0] + p[1] * d[1] + p[2] * d[2] + p[3] * d[3] + p[4] * d[4]
@@ -502,37 +429,47 @@ def _level_sign(form, x):
 
 
 class MultiLevelStructure:
+    """One setup's input objects, prepared, their vectors per level and
+    their boxes, and the level-0 tree over all of them."""
+
     def __init__(self, setup_name: str, objects, budget: StorageBudget):
         if setup_name not in _LAYOUTS:
             raise ValueError(f"unknown setup {setup_name}")
         n = len(objects)
         if budget.n != n:
             raise ValueError("budget.n must equal the number of objects")
+        layout = _LAYOUTS[setup_name]
         self.setup_name = setup_name
         self.budget = budget
-        self.built_nodes = 0
-        self.setup = _Setup(setup_name, objects) if n else None
-        self.levels = self.setup.levels if self.setup else []
-        self.points = self.setup.points if self.setup else []
         self.n = n
-        self.root_tree = _Tree(self, 0, tuple(range(n))) if n else None
-
-    # -- lazy next-level structures
-
-    def next_tree(self, node: CanonicalNode, level: int) -> _Tree:
-        if node._next is None:
-            node._next = _Tree(self, level + 1, node.items)
-        return node._next
+        self.built_nodes = 0
+        self.problem = PROBLEMS[setup_name]
+        self.levels = levels = layout.levels
+        self.passes = layout.passes
+        self.prepared = [self.problem.prep_input(x) for x in objects]
+        self.points = list(zip(*map(layout.input_vectors, self.prepared)))
+        box = layout.input_box
+        self.boxes = None if box is None else [box(x) for x in self.prepared]
+        # per pass, the sign each level must have; per group, its levels and
+        # the sign tuples that some pass accepts once their zeros are filled in
+        self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
+        self.groups = []
+        for g in range(max(l.group for l in levels) + 1):
+            idx = tuple(i for i, l in enumerate(levels) if l.group == g)
+            accepted = {tuple(t[i] for i in idx) for t in self.targets.values()}
+            self.groups.append((idx, {tuple(x * k for x, k in zip(a, keep)) for a in accepted
+                                      for keep in product((0, 1), repeat=len(idx))}))
+        self.root = _build(self, 0, tuple(range(n)), 0) if n else None
 
     def fingerprint(self):
         """Shape of all materialized trees, for determinism checks."""
 
         def nd(node):
             kids = None if node.children is None else tuple(nd(c) for c in node.children)
-            nxt = nd(node._next.root) if node._next is not None else None
+            nxt = None if node._next is None else nd(node._next)
             return (node.box_lo, node.box_hi, node.items, kids, nxt)
 
-        return nd(self.root_tree.root) if self.root_tree else None
+        return None if self.root is None else nd(self.root)
 
 
 def build(objects, setup: str, budget: StorageBudget) -> MultiLevelStructure:
@@ -548,60 +485,97 @@ class _DetectHit(Exception):
 
 
 class _Run:
-    """Mutable state of one query evaluation."""
+    """One query against a structure: the prepared query, its form per
+    level and its closed integer box (None if unbounded), the signs taken
+    so far, and what the descent found."""
 
-    __slots__ = ("struct", "ctx", "mode", "stats", "hits", "witnesses", "detect")
+    __slots__ = ("struct", "query", "forms", "box", "signs", "stats", "hits", "witnesses",
+                 "detect")
 
-    def __init__(self, struct, ctx, mode):
+    def __init__(self, struct: MultiLevelStructure, query_object, mode: QueryMode):
+        layout = _LAYOUTS[struct.setup_name]
+        q = struct.problem.prep_query(query_object)
         self.struct = struct
-        self.ctx = ctx
-        self.mode = mode
+        self.query = q
+        self.forms = layout.query_forms(q)
+        self.box = None if layout.query_box is None else layout.query_box(q)
+        self.signs = {}           # object -> its sigma
         self.stats = QueryStats()
         self.hits = []
         self.witnesses = {}       # object -> the point its fallback found
         self.detect = mode == QueryMode.DETECT
 
+    def sigma(self, j: int):
+        """Per-level signs of object j against the query, group by group,
+        up to the first group that no pass accepts even with its zeros
+        filled in, which is left out: a tuple shorter than the level list is
+        a miss.  After the roles, such a group holds a strict + beside a
+        strict - (a miss by ``kernel4d._seg_tetra_case`` and
+        ``kernel4d._tri_tri_case``, which prove it) or a nonzero zero-set sign
+        (a line that meets a 2-flat has orient5 zero)."""
+        sig = self.signs.get(j)
+        if sig is None:
+            forms, points = self.forms, self.struct.points
+            sig = ()
+            for idx, accepted in self.struct.groups:
+                part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
+                if part not in accepted:
+                    break
+                sig += part
+            self.signs[j] = sig
+        return sig
+
+    def witness(self, j: int) -> Optional[Point4]:
+        """A point shared by object j and the query, or None if they miss:
+        the problem's exact closed-set test by its direct solver."""
+        return self.struct.problem.witness(self.query, self.struct.prepared[j])
+
+    def point(self, j: int) -> Point4:
+        """The reported point of hit j: its fallback's, or a fresh solve."""
+        w = self.witnesses.get(j)
+        return self.witness(j) if w is None else w
+
 
 def _leaf_match(run: _Run, items, passes):
     """Resolve leaf items exactly for the given passes.  Items whose box
     misses the query's are dropped first.  A sign tuple shorter than the
-    level list is a miss (``_Setup.sigma``); a full one with no zero is a
+    level list is a miss (``_Run.sigma``); a full one with no zero is a
     hit iff it is a pass's target, the problem's sign rule.  A full tuple
     with a zero, in its canonical pass, goes to the problem's witness,
     which is kept for the report."""
-    setup = run.struct.setup
-    ctx = run.ctx
+    struct = run.struct
     stats = run.stats
-    qbox = ctx.box
+    qbox = run.box
     if qbox is not None:
-        boxes = setup.boxes
+        boxes = struct.boxes
         items = [j for j in items if _meets(qbox, boxes[j])]
     stats.leaf_items_scanned += len(items)
-    nlevels = len(setup.levels)
-    targets = [setup.targets[p] for p in passes]
+    nlevels = len(struct.levels)
+    targets = [struct.targets[p] for p in passes]
+    sigma = run.sigma
     for j in items:
-        sig = setup.sigma(ctx, j)
+        sig = sigma(j)
         stats.exact_predicate_calls += 1
         if len(sig) < nlevels:
             continue
         if 0 not in sig:
             if sig in targets:
                 _record(run, j)
-        elif _canonical_pass(setup, sig) in passes:
+        elif _canonical_pass(struct, sig) in passes:
             stats.exact_predicate_calls += 1
-            w = setup.witness(ctx, j)
+            w = run.witness(j)
             if w is not None:
                 run.witnesses[j] = w
                 _record(run, j)
 
 
-def _canonical_pass(setup, sig):
+def _canonical_pass(struct, sig):
     """The one pass that counts an object with a zero sign: per group, +1
     when its signs times their roles are all >= 0, else -1 (``sigma`` leaves
     no group with a strict + beside a strict -)."""
-    levels = setup.levels
+    levels = struct.levels
     return tuple(1 if all(sig[l] * levels[l].role >= 0 for l in idx) else -1
-                 for idx, _accepted in setup.groups)
+                 for idx, _accepted in struct.groups)
 
 
 def _record(run: _Run, j: int):
@@ -616,53 +590,51 @@ def _absorb(run: _Run, items):
         raise _DetectHit()
 
 
-def _visit(run: _Run, tree: _Tree, node: CanonicalNode, passes):
+def _visit(run: _Run, level: int, node: CanonicalNode, passes):
     struct = run.struct
-    level = tree.level
-    last = level == len(struct.levels) - 1
     run.stats.nodes_visited += 1
-    qbox = run.ctx.box
+    qbox = run.box
     if qbox is not None and not _meets(qbox, node.aabb):
         return
 
-    lo, hi = _form_range(run.ctx.forms[level], node.box_lo, node.box_hi)
+    lo, hi = _form_range(run.forms[level], node.box_lo, node.box_hi)
     spec = struct.levels[level]
-    inside_by_target = {}
+    # at most one target is INSIDE a range (+1 needs lo > 0, -1 needs
+    # hi < 0, and 0 never is), so every INSIDE pass goes to one visit
+    inside = []
     crossing = []
     for p in passes:
-        tt = p[spec.group] * spec.role
-        cls = _classify(lo, hi, tt)
+        cls = _classify(lo, hi, p[spec.group] * spec.role)
         if cls == INSIDE:
-            inside_by_target.setdefault(tt, []).append(p)
+            inside.append(p)
         elif cls == CROSSING:
             crossing.append(p)
-    if node.is_leaf and not last:
+    last = level == len(struct.levels) - 1
+    if node.children is None and not last:
         # a leaf bucket: every pass not left here is settled by exact signs,
         # which also check this level and the ones below it
-        live = [p for plist in inside_by_target.values() for p in plist] + crossing
-        if live:
-            _leaf_match(run, node.items, tuple(live))
-        return
-    for plist in inside_by_target.values():
-        run.stats.canonical_sets_touched += len(plist)
+        inside, crossing = [], inside + crossing
+    if inside:
+        run.stats.canonical_sets_touched += len(inside)
         if last:
             _absorb(run, node.items)
         else:
-            nxt = struct.next_tree(node, level)
-            _visit(run, nxt, nxt.root, tuple(plist))
+            if node._next is None:
+                node._next = _build(struct, level + 1, node.items, 0)
+            _visit(run, level + 1, node._next, tuple(inside))
     if crossing:
-        if node.is_leaf:
-            _leaf_match(run, node.items, tuple(crossing))
+        crossing = tuple(crossing)
+        if node.children is None:
+            _leaf_match(run, node.items, crossing)
         else:
             for ch in node.children:
-                _visit(run, tree, ch, tuple(crossing))
+                _visit(run, level, ch, crossing)
 
 
 def _descend(run: _Run) -> _Run:
     """One shared descent of the structure for every pass; returns run."""
-    root = run.struct.root_tree
     try:
-        _visit(run, root, root.root, run.struct.setup.passes)
+        _visit(run, 0, run.struct.root, run.struct.passes)
     except _DetectHit:
         pass
     return run
@@ -674,12 +646,8 @@ def query(structure: MultiLevelStructure, query_object,
     query object (indexA is 0)."""
     if structure.n == 0:
         return IntersectionReport(False, 0, []), QueryStats()
-    setup = structure.setup
-    ctx = setup.make_ctx(query_object)
-    run = _descend(_Run(structure, ctx, mode))
-    known = run.witnesses
-    rep = _assemble(mode, [(0, j) for j in sorted(run.hits)],
-                    lambda _i, j: known[j] if j in known else setup.witness(ctx, j))
+    run = _descend(_Run(structure, query_object, mode))
+    rep = _assemble(mode, [(0, j) for j in sorted(run.hits)], lambda _i, j: run.point(j))
     return rep, run.stats
 
 
@@ -739,15 +707,12 @@ def _batched(setup, inputs, queries):
     if n == 0 or m == 0:
         return witnesses, total
     st = build([x for _o, x in inputs], setup, StorageBudget(n, batched_storage_parameter(m, n)))
-    s = st.setup
     for qo, q in queries:
-        ctx = s.make_ctx(q)
-        run = _descend(_Run(st, ctx, QueryMode.REPORT))
+        run = _descend(_Run(st, q, QueryMode.REPORT))
         total.add(run.stats)
         for j in sorted(run.hits):
             xo = inputs[j][0]
             key = (qo, xo) if qo < xo else (xo, qo)
             if qo != xo and key not in witnesses:
-                w = run.witnesses.get(j)
-                witnesses[key] = s.witness(ctx, j) if w is None else w
+                witnesses[key] = run.point(j)
     return witnesses, total

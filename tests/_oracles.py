@@ -5,7 +5,8 @@ permutation expansion, triangle membership by a 2x2 solve in the triangle's
 plane, calibration signs by an interior probe line (the package uses their
 closed form), segment/tetrahedron feasibility by a direct rational solve of
 the barycentric system.  The CCD references at the end are the exception.
-The lifted prism and ``collision_verified_at`` (both tetrahedra at one
+``contains_at`` (3-D membership at one instant) takes the package's det3,
+and the lifted prism and ``collision_verified_at`` (both tetrahedra at one
 instant, in w = 0) run the package's 4D predicates, which CCD's own pair
 test does not use, and ``swept_sat_reference`` is a frozen copy of that
 pair test as it was before it ran in integers, with Fraction clips.  Likewise
@@ -632,12 +633,39 @@ def lifted_pairs(scene):
             if lifted_prism_meet(prisms[i], prisms[j]) is not None]
 
 
+def at_time(mt, t):
+    """Vertices of the moving tetrahedron mt's instantaneous tetrahedron at
+    time t."""
+    return tuple(tuple(mt.vertices[i][k] + t * mt.velocity[k] for k in range(3))
+                 for i in range(4))
+
+
+def contains_at(mt, p3, t) -> bool:
+    """Exact 3D membership of p3 in the moving tetrahedron mt at time t."""
+    if not (mt.t0 <= t <= mt.t1):
+        return False
+    q = tuple(p3[k] - t * mt.velocity[k] for k in range(3))
+    v = mt.vertices
+    d = [tuple(v[i][k] - v[0][k] for k in range(3)) for i in (1, 2, 3)]
+    D = det3(*d)
+    r = tuple(q[k] - v[0][k] for k in range(3))
+    tot = Fraction(0)
+    for i in range(3):
+        rows = [list(x) for x in d]
+        rows[i] = list(r)
+        bi = Fraction(det3(*rows), D)
+        if bi < 0:
+            return False
+        tot += bi
+    return tot <= 1
+
+
 def collision_verified_at(scene, i: int, j: int, t) -> bool:
     """Instantaneous check: do tetrahedra i and j intersect at time t?
     Embeds both instantaneous tetrahedra in the hyperplane w = 0 and runs
     the exact 4D tetra-tetra test."""
-    va = scene[i].at_time(t)
-    vb = scene[j].at_time(t)
+    va = at_time(scene[i], t)
+    vb = at_time(scene[j], t)
     ta = Tetrahedron4(*(Point4(*v, 0) for v in va))
     tb = Tetrahedron4(*(Point4(*v, 0) for v in vb))
     return tetra_tetra_intersect(ta, tb) is not None

@@ -187,7 +187,7 @@ def test_predicate_direct_agreement():
 
 
 def test_ccd_acceptance():
-    from _oracles import collision_verified_at, lifted_pairs
+    from _oracles import collision_verified_at, contains_at, lifted_pairs
     from tet4d.ccd import MovingTetrahedron, detect_collisions
 
     rng = random.Random(0xCCD)
@@ -210,7 +210,7 @@ def test_ccd_acceptance():
             rep = detect_collisions(scene, QueryMode.REPORT)
             assert [(a, b) for (a, b, _w) in rep.pairs] == lifted_pairs(scene), i
             for (a, b, w) in rep.pairs:
-                assert scene[a].contains_at(w[:3], w.w) and scene[b].contains_at(w[:3], w.w)
+                assert contains_at(scene[a], w[:3], w.w) and contains_at(scene[b], w[:3], w.w)
                 assert collision_verified_at(scene, a, b, w.w)
 
         unit = ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1))

@@ -652,6 +652,26 @@ class TestExactWorkCounts:
             k3 += k_counts(tets)[1]
         assert k3 > 0 and calls == {"linsolve": 0, "tri_tri_direct": 0}
 
+    def test_one_tetrapre_per_tetrahedron(self, monkeypatch):
+        # pairwise and the reduction share k_counts' TetraPre list, so no
+        # tetrahedron is prepared or has its forms built twice
+        built, forms = [], []
+        real_init, real_forms = TetraPre.__init__, kernel4d._affine_forms
+
+        def init(pre, tet):
+            built.append(tet)
+            real_init(pre, tet)
+
+        monkeypatch.setattr(TetraPre, "__init__", init)
+        monkeypatch.setattr(kernel4d, "_affine_forms",
+                            lambda pre: forms.append(pre.tet) or real_forms(pre))
+        for tets in [_deep_report_clusters(seed) for seed in (1, 2, 3)] + _seeded_scenes()[:4]:
+            built.clear()
+            forms.clear()
+            k_counts(tets)
+            assert built == tets
+            assert forms and len(set(map(id, forms))) == len(forms)
+
     def test_forms_built_once_and_held_by_their_tetrapre(self, monkeypatch):
         built = []
         real = kernel4d._affine_forms

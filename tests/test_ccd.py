@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from _oracles import (
     LiftedPrism,
     collision_verified_at,
+    contains_at,
     lifted_pairs,
     lifted_prism_meet,
     simplex_meet_vertices,
@@ -65,7 +66,7 @@ def typed(w):
 def assert_first_contact(scene, i, j, w):
     """w lies in both moving tetrahedra at time w.w (checked apart from the
     pair test), and both agree that they meet then."""
-    assert scene[i].contains_at(w[:3], w.w) and scene[j].contains_at(w[:3], w.w)
+    assert contains_at(scene[i], w[:3], w.w) and contains_at(scene[j], w[:3], w.w)
     assert collision_verified_at(scene, i, j, w.w)
 
 
@@ -104,7 +105,7 @@ class TestLift:
             for _s in range(40):
                 t = F(rng.randint(-2, 10), 8)
                 q3 = tuple(F(rng.randint(-80, 80), 8) for _ in range(3))
-                inside = mt.contains_at(q3, t)
+                inside = contains_at(mt, q3, t)
                 assert p.contains(tuple(q3) + (t,)) == inside
 
 
@@ -188,7 +189,7 @@ class TestEquivalence:
         rep = detect_collisions(scene, QueryMode.REPORT)
         assert [(i, j) for (i, j, _w) in rep.pairs] == lifted_pairs(scene)
         for (i, j, w) in rep.pairs:
-            assert scene[i].contains_at(w[:3], w.w) and scene[j].contains_at(w[:3], w.w)
+            assert contains_at(scene[i], w[:3], w.w) and contains_at(scene[j], w[:3], w.w)
 
 
 def _both(a, b):

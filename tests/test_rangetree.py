@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -144,8 +146,8 @@ class TestOracleEquivalence:
     def test_single_object_single_leaf(self, rng):
         t = rnd_tetra(rng)
         st = rt.build([t], rt.SETUP_SEG_TETRA, StorageBudget(1, 1))
-        assert st.root_tree.root.is_leaf
-        assert st.root_tree.root.items == (0,)
+        assert st.root.children is None
+        assert st.root.items == (0,)
 
     def test_s_extremes_identical_reports(self, rng, monkeypatch):
         # the paper's bare leaf rule, so that s changes the tree's shape
@@ -210,7 +212,7 @@ class TestCanonicalSets:
         st = rt.build(tets, rt.SETUP_SEG_TETRA, budget)
 
         def walk(node):
-            if node.is_leaf:
+            if node.children is None:
                 # splittable leaves respect the cutoff; only all-identical
                 # point sets may exceed it
                 pts = {st.points[0][i] for i in node.items}
@@ -219,7 +221,7 @@ class TestCanonicalSets:
                 for ch in node.children:
                     walk(ch)
 
-        walk(st.root_tree.root)
+        walk(st.root)
 
 
 class TestDeterminism:
@@ -265,8 +267,9 @@ def _value(form, x):
 
 
 def _level_trees(st):
-    """One tree per level over every object, all of whose nodes are walked."""
-    return [rt._Tree(st, level, tuple(range(st.n))) for level in range(len(st.levels))]
+    """The root of one tree per level over every object, all of whose nodes
+    are walked."""
+    return [rt._build(st, level, tuple(range(st.n)), 0) for level in range(len(st.levels))]
 
 
 def _nodes(node):
@@ -296,9 +299,9 @@ class TestClassifyBox:
             inputs, queries = _scene(rng, setup, 8, 4)
             st = rt.build(inputs, setup, StorageBudget.from_sigma(8, 2))
             for q in queries:
-                ctx = st.setup.make_ctx(q)
+                ctx = rt._Run(st, q, QueryMode.REPORT)
                 for j in range(st.n):
-                    sig = st.setup.sigma(ctx, j)
+                    sig = ctx.sigma(j)
                     for level, spec in enumerate(st.levels):
                         pt = st.points[level][j]
                         assert len(pt) == spec.dim
@@ -308,7 +311,7 @@ class TestClassifyBox:
                         s = (lo > 0) - (lo < 0)
                         if level < len(sig):
                             assert sig[level] == s, (setup, level)
-                        for target in {p[spec.group] * spec.role for p in st.setup.passes}:
+                        for target in {p[spec.group] * spec.role for p in st.passes}:
                             assert rt._classify(lo, hi, target) == _expected_class({s}, target)
 
     def test_root_box_crossing_when_mixed(self, rng):
@@ -317,11 +320,11 @@ class TestClassifyBox:
             st = rt.build(inputs, setup, StorageBudget.from_sigma(30, 2))
             mixed = 0
             for q in queries:
-                ctx = st.setup.make_ctx(q)
-                for level, tree in enumerate(_level_trees(st)):
+                ctx = rt._Run(st, q, QueryMode.REPORT)
+                for level, root in enumerate(_level_trees(st)):
                     form = ctx.forms[level]
                     vals = [_value(form, st.points[level][j]) for j in range(st.n)]
-                    lo, hi = rt._form_range(form, tree.root.box_lo, tree.root.box_hi)
+                    lo, hi = rt._form_range(form, root.box_lo, root.box_hi)
                     assert lo <= min(vals) and max(vals) <= hi
                     if min(vals) < 0 < max(vals):
                         mixed += 1
@@ -340,10 +343,10 @@ class TestClassifyBox:
             inputs, queries = _scene(rng, setup, 12, 3)
             st = rt.build(inputs, setup, StorageBudget.from_sigma(12, 6))
             for q in queries:
-                ctx = st.setup.make_ctx(q)
-                for level, tree in enumerate(_level_trees(st)):
+                ctx = rt._Run(st, q, QueryMode.REPORT)
+                for level, root in enumerate(_level_trees(st)):
                     form = ctx.forms[level]
-                    for node in _nodes(tree.root):
+                    for node in _nodes(root):
                         box = list(zip(node.box_lo, node.box_hi))
                         lo, hi = rt._form_range(form, node.box_lo, node.box_hi)
                         low_corner = [b[0] if c > 0 else b[1] for c, b in zip(form, box)]
@@ -355,6 +358,10 @@ class TestClassifyBox:
                         samples += [[b[0] + (b[1] - b[0]) * F(rng.randint(0, 8), 8) for b in box]
                                     for _ in range(6)]
                         signs = {(v > 0) - (v < 0) for v in (_value(form, x) for x in samples)}
+                        # at most one target is INSIDE, so _visit sends every
+                        # INSIDE pass on in one next-level visit
+                        assert [t for t in (1, -1, 0)
+                                if rt._classify(lo, hi, t) == INSIDE] in ([], [1], [-1])
                         for target in (1, -1, 0):
                             cls = rt._classify(lo, hi, target)
                             if cls == CROSSING:
@@ -542,19 +549,19 @@ class TestLeafFallbacks:
         rng = random.Random(seed)
         tets, segs = _degenerate_scene(rng)
         tris = _lattice_triangles(rng, 24)
-        witness = rt._Setup.witness
+        witness = rt._Run.witness
         zero_calls = []
 
-        def checked(setup, ctx, j):
-            sig, levels = setup.sigma(ctx, j), setup.levels
+        def checked(run, j):
+            sig, levels = run.sigma(j), run.struct.levels
             assert len(sig) == len(levels)
             for g in {l.group for l in levels}:
                 signs = {s * l.role for s, l in zip(sig, levels) if l.group == g}
                 assert not {1, -1} <= signs, (sig, g)
             zero_calls.append(0 in sig)
-            return witness(setup, ctx, j)
+            return witness(run, j)
 
-        monkeypatch.setattr(rt._Setup, "witness", checked)
+        monkeypatch.setattr(rt._Run, "witness", checked)
         for setup, inputs, queries in ((rt.SETUP_SEG_TETRA, tets, segs),
                                        (rt.SETUP_TETRA_SEG, segs, tets),
                                        (rt.SETUP_TRI_TRI, tris[:12], tris[12:])):
@@ -582,7 +589,7 @@ def test_setup_iii_is_setup_i_transposed():
     for a, b, objs in ((st_i, st_iii, tets), (st_iii, st_i, segs)):
         for j, x in enumerate(objs):
             stored = tuple(a.points[level][j] for level in range(len(a.levels)))
-            assert tuple(b.setup.make_ctx(x).forms) == stored
+            assert tuple(rt._Run(b, x, QueryMode.REPORT).forms) == stored
 
 
 def _endpoint_sides(tet, seg):
@@ -834,9 +841,8 @@ def test_boxes_prune_the_far_cluster(monkeypatch, setup):
     assert oracle.count > 0
 
     scanned = set()
-    sigma_fn = rt._Setup.sigma
-    monkeypatch.setattr(rt._Setup, "sigma",
-                        lambda self, ctx, j: scanned.add(j) or sigma_fn(self, ctx, j))
+    sigma_fn = rt._Run.sigma
+    monkeypatch.setattr(rt._Run, "sigma", lambda self, j: scanned.add(j) or sigma_fn(self, j))
     visited = {}
     for sigma in (2, 6):
         st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
@@ -846,14 +852,13 @@ def test_boxes_prune_the_far_cluster(monkeypatch, setup):
     assert scanned and not scanned & far_ids
 
     # the same descent with the query boxes dropped, as without box pruning
-    make_ctx = rt._Setup.make_ctx
+    init = rt._Run.__init__
 
-    def boxless(self, q):
-        ctx = make_ctx(self, q)
-        ctx.box = None
-        return ctx
+    def boxless(self, *args):
+        init(self, *args)
+        self.box = None
 
-    monkeypatch.setattr(rt._Setup, "make_ctx", boxless)
+    monkeypatch.setattr(rt._Run, "__init__", boxless)
     scanned.clear()
     for sigma in (2, 6):
         st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), sigma))
@@ -943,11 +948,13 @@ def test_leaf_buckets_equal_oracle(setup, kind, size):
             assert _typed_report(rep) == _typed_report(expected[mode]), (sigma, mode)
 
 
-def _walk_trees(tree):
-    yield tree
-    for node in _nodes(tree.root):
+def _walk_trees(level, root):
+    """(level, root) of the tree under root and of every next-level tree
+    materialised below it."""
+    yield level, root
+    for node in _nodes(root):
         if node._next is not None:
-            yield from _walk_trees(node._next)
+            yield from _walk_trees(level + 1, node._next)
 
 
 @pytest.mark.parametrize("setup,kind", _BUCKET_SCENES)
@@ -964,14 +971,36 @@ def test_leaf_rule_and_no_tree_under_a_leaf(setup, kind):
             bound = max(budget.leaf_cutoff, rt.LEAF_MIN)
             st = rt.build(inputs, setup, budget)
             rt.query_batch(st, queries, QueryMode.REPORT)
-            for tree in _walk_trees(st.root_tree):
-                for node in _nodes(tree.root):
-                    if node.is_leaf:
-                        assert node._next is None, (size, sigma, tree.level)
-                        pts = {st.points[tree.level][i] for i in node.items}
+            for level, root in _walk_trees(0, st.root):
+                for node in _nodes(root):
+                    if node.children is None:
+                        assert node._next is None, (size, sigma, level)
+                        pts = {st.points[level][i] for i in node.items}
                         assert len(node.items) <= bound or len(pts) == 1
                     else:
                         assert len(node.items) > bound
                         nexts += node._next is not None
     # the slab scenes forward canonical sets; the others may not
     assert nexts > 0 or kind != "slabs"
+
+
+@pytest.mark.parametrize("leaf_min", (64, 1))
+@pytest.mark.parametrize("setup", ALL_SETUPS)
+def test_structure_freed_without_the_cycle_collector(monkeypatch, setup, leaf_min):
+    # a built and queried structure holds no reference cycle, so reference
+    # counting frees it at its last reference; at LEAF_MIN = 1 the queries
+    # also build next-level trees
+    monkeypatch.setattr(rt, "LEAF_MIN", leaf_min)
+    inputs, queries = _scene(random.Random(5), setup, 40, 10)
+    st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), 6))
+    for mode in MODES:
+        rt.query_batch(st, queries, mode)
+    nexts = sum(node._next is not None for node in _nodes(st.root))
+    assert nexts > 0 or leaf_min > 1 or setup == rt.SETUP_LINE_2FLAT
+    ref = weakref.ref(st)
+    gc.disable()
+    try:
+        del st
+        assert ref() is None
+    finally:
+        gc.enable()
