@@ -20,8 +20,8 @@ node's integer bounding box: per coordinate, the coefficient times the
 box's low or high end, by the coefficient's sign.  INSIDE nodes forward
 their entire item set to the next level as a canonical set, OUTSIDE nodes
 are pruned, CROSSING nodes recurse.  A leaf takes the same dot products,
-group by group, and stops at a group that no pass accepts even with its
-zeros filled in, a miss (``_Run.sigma``); other zero signs go to a
+level by level, and stops at a strict + beside a strict - (after the
+levels' roles), a miss (``_Run.sigma``); other zero signs go to a
 direct-solver fallback.  No parametrization is involved, so no input
 direction is special and no shear is needed.
 Results are exactly equal to the brute-force oracle on every input.
@@ -35,11 +35,12 @@ leaf never gets a next-level tree: at every level but the last, the passes
 it is INSIDE for are resolved at the leaf, together with the CROSSING ones,
 by the same sign test.  So s only chooses between cutoffs above LEAF_MIN.
 
-A query runs one shared descent for the four sign-pattern passes (two
-choices for the endpoint side pattern x two for the orientation pattern);
-an object in degenerate position relative to the query is counted exactly
-once, in its canonical pass, after the problem's exact closed-set test
-from ``oracle.PROBLEMS``.
+A query runs one shared descent for two passes, +1 and -1; an object is a
+hit in pass p when every level's sign times its role is p, since each
+object's orientation is folded into its vectors (``_oriented_plane``,
+``_tri_vectors``).  An object in degenerate position relative to the query
+is counted once, in the pass of its strict signs (the first if it has none),
+after the problem's exact closed-set test from ``oracle.PROBLEMS``.
 
 Setup (iii) is setup (i) transposed: both use one six-level layout, with a
 segment's vectors (a, -1), (b, -1) and four copies of its Plücker vector,
@@ -63,7 +64,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Optional, Tuple
 
 from .kernel4d import (
@@ -169,9 +169,9 @@ class QueryStats:
         forwarding an internal node's item set to the next level, or a
         last-level node's into the report.
     leaf_items_scanned: leaf items whose box meets the query's box, each of
-        which has its level signs taken (``_Run.sigma``).  A leaf counts
-        its items once per visit, whether the visit's passes found it
-        CROSSING or, at a level before the last, INSIDE.
+        which has its level signs taken, up to a miss (``_Run.sigma``).  A
+        leaf counts its items once per visit, whether the visit's passes
+        found it CROSSING or, at a level before the last, INSIDE.
     exact_predicate_calls: those sign evaluations plus the zero-sign
         fallbacks to the problem's direct solver, so that
         exact_predicate_calls - leaf_items_scanned is the fallback count.
@@ -197,8 +197,7 @@ class QueryStats:
 class LevelSpec:
     kind: str           # e.g. ENDPOINT_SIDE_A, FACET_ORIENT_2, EDGE_ORIENT_1
     dim: int            # length of the level's integer vectors
-    group: int          # pattern group index
-    role: int           # +1 / -1: semantic target = pass[group] * role;
+    role: int           # +1 / -1: the target sign is pass * role;
                         # 0: a zero-set level (the sign must vanish)
 
 
@@ -300,7 +299,6 @@ def _build(struct: "MultiLevelStructure", level: int, items: Tuple[int, ...],
 #
 # Every setup's record holds:
 #   levels                    tuple[LevelSpec], one per level
-#   passes                    the sign patterns, one choice per level group
 #   input_vectors(prepared)   integer vector of a prepared input, per level
 #   query_forms(prepared)     integer form of a prepared query, per level
 #   input_box, query_box      the closed integer box of a prepared input or
@@ -311,7 +309,6 @@ def _build(struct: "MultiLevelStructure", level: int, items: Tuple[int, ...],
 @dataclass(frozen=True)
 class _Layout:
     levels: Tuple[LevelSpec, ...]
-    passes: Tuple[Tuple[int, ...], ...]
     input_vectors: Callable
     query_forms: Callable
     input_box: Optional[Callable] = None
@@ -319,11 +316,23 @@ class _Layout:
 
 
 def _oriented_plane(pre: TetraPre):
-    """The integer (n, c) of the tetrahedron's hyperplane times the sign of
-    n's first nonzero entry, so that a hyperplane gets the same vector
-    however its tetrahedron's vertices are ordered."""
-    lead = next(v for v in pre.n if v != 0)
-    sg = 1 if lead > 0 else -1
+    """The integer (n, c) of the tetrahedron's hyperplane times -eps[0].
+    eps[0] = sign(n[j]), n[j] the largest entry, flips with n, so that a
+    hyperplane gets the same vector however its vertices are ordered.
+
+    Then a hit in (i) and (iii) has one nonzero level sign times role.  Let
+    v = n . x - c at a and b, d = b - a, and x the point of the segment's
+    line on the hyperplane.  (a, 1), (b, 1) span (x, 1), (d, 0) with the same
+    determinant, and d's part inside the hyperplane adds nothing, so with
+    V_k = (v_k, 1) and x = sum lam_k v_k, orient5(a, b, *facet_i) is the sign
+    of (n . d / |n|^2) lam_i(x) det(V_i, (n, 0), F_i).  That determinant is
+    (-1)^i |n|^2 (``_normal``) and eps[i] = (-1)^i sign(n[j]), so the
+    calibrated facet signs are sign(n[j]) sign(vb - va) sign(lam_i(x)).  The
+    endpoint levels, times their roles, are -sign(n[j]) sign(va) and
+    sign(n[j]) sign(vb): if va vb > 0 they differ, else each nonzero one is
+    sign(n[j]) sign(vb - va) and a facet sign opposite to it has
+    lam_i(x) < 0.  So a strict + beside a strict - is a miss."""
+    sg = -pre.eps[0]
     return _integral(tuple(sg * v for v in pre.n) + (sg * pre.c,))
 
 
@@ -359,9 +368,20 @@ def _tet_vectors(pre: TetraPre):
 
 
 def _tri_vectors(pre: TrianglePre):
-    """A triangle's three calibrated edges against a 2-flat's dual, then its
-    own dual three times against the other triangle's edges."""
-    d = _integral(dual10(*pre.tri.vertices))
+    """A triangle's three calibrated edges against a 2-flat's dual, then
+    three times its calibrated dual, its dual times eps[0], against the
+    other triangle's edges.
+
+    Then a hit in (ii) has one nonzero level sign.  Let t have vertex rows
+    W_i and t' rows V_c (rows (x, 1)), A_i = (-1)^i det(edge i of t, V_0,
+    V_1, V_2) and B_c = (-1)^c det(edge c of t', W_0, W_1, W_2).  Let X =
+    sum lam_i W_i = sum mu_c V_c be a common point, lam, mu >= 0.  X in place
+    of row V_c of det(edge i of t, V_0, V_1, V_2), expanded both ways, gives
+    mu_c A_i = lam_i B_c.  By ``kernel4d._tri_tri_case``, A_i = k lam_i and
+    B_c = k' mu_c, so nonzero A_i and B_c have lam_i, mu_c > 0 and one sign:
+    both groups have the same factor k.  With t the input and t' the query,
+    the levels are eps[0] eps'[0] A_i, then eps[0] eps'[0] B_c."""
+    d = _integral(tuple(pre.eps[0] * v for v in dual10(*pre.tri.vertices)))
     return (*_calibrated_edges(pre), d, d, d)
 
 
@@ -384,25 +404,20 @@ def _tri_box(pre: TrianglePre):
     return _box(pre.tri.vertices)
 
 
-_SEG_TETRA_LEVELS = (
-    LevelSpec("ENDPOINT_SIDE_A", 5, 0, 1),
-    LevelSpec("ENDPOINT_SIDE_B", 5, 0, -1),
-) + tuple(LevelSpec(f"FACET_ORIENT_{i+1}", 10, 1, 1) for i in range(4))
-_TWO_GROUP_PASSES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+_SEG_TETRA_LEVELS = ((LevelSpec("ENDPOINT_SIDE_A", 5, 1), LevelSpec("ENDPOINT_SIDE_B", 5, -1))
+                     + tuple(LevelSpec(f"FACET_ORIENT_{i+1}", 10, 1) for i in range(4)))
 
 _LAYOUTS = {
-    SETUP_SEG_TETRA: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _tet_vectors, _seg_vectors,
-                             _tet_box, _seg_box),
-    SETUP_TETRA_SEG: _Layout(_SEG_TETRA_LEVELS, _TWO_GROUP_PASSES, _seg_vectors, _tet_vectors,
-                             _seg_box, _tet_box),
+    SETUP_SEG_TETRA: _Layout(_SEG_TETRA_LEVELS, _tet_vectors, _seg_vectors, _tet_box, _seg_box),
+    SETUP_TETRA_SEG: _Layout(_SEG_TETRA_LEVELS, _seg_vectors, _tet_vectors, _seg_box, _tet_box),
     SETUP_TRI_TRI: _Layout(
-        tuple(LevelSpec(f"EDGE_ORIENT_{k+1}", 10, 0, 1) for k in range(3))
-        + tuple(LevelSpec(f"PLANE_ORIENT_{k+1}", 10, 1, 1) for k in range(3)),
-        _TWO_GROUP_PASSES, _tri_vectors, _tri_forms, _tri_box, _tri_box),
+        tuple(LevelSpec(f"EDGE_ORIENT_{k+1}", 10, 1) for k in range(3))
+        + tuple(LevelSpec(f"PLANE_ORIENT_{k+1}", 10, 1) for k in range(3)),
+        _tri_vectors, _tri_forms, _tri_box, _tri_box),
     # a line can meet a 2-flat only where its Plücker vector is orthogonal
     # to the flat's dual vector; both are unbounded, so neither has a box
     SETUP_LINE_2FLAT: _Layout(
-        (LevelSpec("FLAT_MEET", 10, 0, 0),), ((1,),),
+        (LevelSpec("FLAT_MEET", 10, 0),),
         lambda flat: (_integral(dual10(*flat)),),
         lambda line: (_integral(plucker10(line.a, line.b)),)),
 }
@@ -444,21 +459,13 @@ class MultiLevelStructure:
         self.n = n
         self.built_nodes = 0
         self.problem = PROBLEMS[setup_name]
-        self.levels = levels = layout.levels
-        self.passes = layout.passes
+        self.levels = layout.levels
+        # a zero-set level's target is 0 in every pass, so one pass does
+        self.passes = (1,) if any(l.role == 0 for l in self.levels) else (1, -1)
         self.prepared = [self.problem.prep_input(x) for x in objects]
         self.points = list(zip(*map(layout.input_vectors, self.prepared)))
         box = layout.input_box
         self.boxes = None if box is None else [box(x) for x in self.prepared]
-        # per pass, the sign each level must have; per group, its levels and
-        # the sign tuples that some pass accepts once their zeros are filled in
-        self.targets = {p: tuple(p[l.group] * l.role for l in levels) for p in self.passes}
-        self.groups = []
-        for g in range(max(l.group for l in levels) + 1):
-            idx = tuple(i for i, l in enumerate(levels) if l.group == g)
-            accepted = {tuple(t[i] for i in idx) for t in self.targets.values()}
-            self.groups.append((idx, {tuple(x * k for x, k in zip(a, keep)) for a in accepted
-                                      for keep in product((0, 1), repeat=len(idx))}))
         self.root = _build(self, 0, tuple(range(n)), 0) if n else None
 
     def fingerprint(self):
@@ -499,31 +506,37 @@ class _Run:
         self.query = q
         self.forms = layout.query_forms(q)
         self.box = None if layout.query_box is None else layout.query_box(q)
-        self.signs = {}           # object -> its sigma
+        self.signs = {}           # object -> its (pass, zero)
         self.stats = QueryStats()
         self.hits = []
         self.witnesses = {}       # object -> the point its fallback found
         self.detect = mode == QueryMode.DETECT
 
     def sigma(self, j: int):
-        """Per-level signs of object j against the query, group by group,
-        up to the first group that no pass accepts even with its zeros
-        filled in, which is left out: a tuple shorter than the level list is
-        a miss.  After the roles, such a group holds a strict + beside a
-        strict - (a miss by ``kernel4d._seg_tetra_case`` and
-        ``kernel4d._tri_tri_case``, which prove it) or a nonzero zero-set sign
-        (a line that meets a 2-flat has orient5 zero)."""
-        sig = self.signs.get(j)
-        if sig is None:
-            forms, points = self.forms, self.struct.points
-            sig = ()
-            for idx, accepted in self.struct.groups:
-                part = tuple([_level_sign(forms[l], points[l][j]) for l in idx])
-                if part not in accepted:
+        """(pass, zero) for object j against the query: the pass that counts
+        j, None for a miss, and whether a level's sign is 0.  The signs are
+        taken level by level, times the level's role, up to a miss: a strict
+        + beside a strict - (proved at ``_oriented_plane`` and
+        ``_tri_vectors``) or a nonzero zero-set sign (a line that meets a
+        2-flat has orient5 zero).  Otherwise the pass is the strict signs'
+        one, or the first pass when there is none."""
+        res = self.signs.get(j)
+        if res is None:
+            p, zero = 0, False
+            for form, pts, spec in zip(self.forms, self.struct.points, self.struct.levels):
+                s = _level_sign(form, pts[j])
+                if not s:
+                    zero = True
+                    continue
+                s *= spec.role
+                if not s or s == -p:
+                    res = (None, zero)
                     break
-                sig += part
-            self.signs[j] = sig
-        return sig
+                p = s
+            else:
+                res = (p or self.struct.passes[0], zero)
+            self.signs[j] = res
+        return res
 
     def witness(self, j: int) -> Optional[Point4]:
         """A point shared by object j and the query, or None if they miss:
@@ -538,44 +551,29 @@ class _Run:
 
 def _leaf_match(run: _Run, items, passes):
     """Resolve leaf items exactly for the given passes.  Items whose box
-    misses the query's are dropped first.  A sign tuple shorter than the
-    level list is a miss (``_Run.sigma``); a full one with no zero is a
-    hit iff it is a pass's target, the problem's sign rule.  A full tuple
-    with a zero, in its canonical pass, goes to the problem's witness,
-    which is kept for the report."""
-    struct = run.struct
+    misses the query's are dropped first.  An item counts only in the pass
+    that ``_Run.sigma`` gives it: with no zero sign it is a hit, the
+    problem's sign rule; with one it goes to the problem's witness, which
+    is kept for the report."""
     stats = run.stats
     qbox = run.box
     if qbox is not None:
-        boxes = struct.boxes
+        boxes = run.struct.boxes
         items = [j for j in items if _meets(qbox, boxes[j])]
     stats.leaf_items_scanned += len(items)
-    nlevels = len(struct.levels)
-    targets = [struct.targets[p] for p in passes]
     sigma = run.sigma
     for j in items:
-        sig = sigma(j)
+        p, zero = sigma(j)
         stats.exact_predicate_calls += 1
-        if len(sig) < nlevels:
+        if p not in passes:
             continue
-        if 0 not in sig:
-            if sig in targets:
-                _record(run, j)
-        elif _canonical_pass(struct, sig) in passes:
+        if zero:
             stats.exact_predicate_calls += 1
             w = run.witness(j)
-            if w is not None:
-                run.witnesses[j] = w
-                _record(run, j)
-
-
-def _canonical_pass(struct, sig):
-    """The one pass that counts an object with a zero sign: per group, +1
-    when its signs times their roles are all >= 0, else -1 (``sigma`` leaves
-    no group with a strict + beside a strict -)."""
-    levels = struct.levels
-    return tuple(1 if all(sig[l] * levels[l].role >= 0 for l in idx) else -1
-                 for idx, _accepted in struct.groups)
+            if w is None:
+                continue
+            run.witnesses[j] = w
+        _record(run, j)
 
 
 def _record(run: _Run, j: int):
@@ -604,7 +602,7 @@ def _visit(run: _Run, level: int, node: CanonicalNode, passes):
     inside = []
     crossing = []
     for p in passes:
-        cls = _classify(lo, hi, p[spec.group] * spec.role)
+        cls = _classify(lo, hi, p * spec.role)
         if cls == INSIDE:
             inside.append(p)
         elif cls == CROSSING:

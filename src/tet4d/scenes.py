@@ -218,11 +218,16 @@ def _gen_cluster_tetra(rng, crange, spread, count):
 def generate(kind: str, n: int, crange: int, seed: int, spread: Optional[int] = None,
              m: Optional[int] = None, style: str = "uniform") -> SceneFile:
     """Deterministic scene from a seed; degenerate configurations are
-    rejected and resampled."""
+    rejected and resampled.  style is "uniform", or "cluster" for
+    TETRAHEDRA; m, the line count, is for FLATS_AND_LINES only."""
     if kind not in KINDS:
         raise SchemaError(f"unknown kind {kind!r}")
     if n < 1:
         raise ValueError("n must be >= 1")
+    if style != "uniform" and (style, kind) != ("cluster", "TETRAHEDRA"):
+        raise ValueError(f"style {style!r} is not a style of {kind} scenes")
+    if m is not None and kind != "FLATS_AND_LINES":
+        raise ValueError(f"m is the line count of FLATS_AND_LINES, not of {kind}")
     rng = random.Random(seed)
     spread = spread if spread is not None else max(1, crange)
 

@@ -52,6 +52,18 @@ class TestGen:
                       "--out", str(work / "x.json")])
         assert rc == 3
 
+    def test_options_of_other_kinds_usage_error(self, work):
+        # --style cluster is for TETRAHEDRA and --m for FLATS_AND_LINES only
+        out = work / "x.json"
+        for kind, option in (("SEGMENTS", ["--style", "cluster"]),
+                             ("MOVING_TETRAHEDRA", ["--style", "cluster"]),
+                             ("TETRAHEDRA", ["--m", "3"]), ("TRIANGLES", ["--m", "3"])):
+            rc = run_cli(["gen", "--kind", kind, "--n", "4", *option, "--out", str(out)])
+            assert rc == 3, (kind, option)
+            assert not out.exists()
+        with pytest.raises(ValueError):
+            generate("TETRAHEDRA", 4, 4, 1, style="clustered")
+
     def test_all_kinds_roundtrip(self, work):
         for kind, n in (("SEGMENTS", 5), ("TRIANGLES", 5), ("TETRAHEDRA", 5),
                         ("MOVING_TETRAHEDRA", 4), ("FLATS_AND_LINES", 4)):

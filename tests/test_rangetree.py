@@ -15,14 +15,17 @@ from tet4d.kernel4d import (
     DegenerateTetrahedron,
     Point4,
     Segment4,
+    TetraPre,
     Tetrahedron4,
     Triangle4,
     line_param,
+    orient5,
     tetra_facets,
     tetra_plane,
     twoplane_param,
 )
 from tet4d.oracle import (
+    PROBLEMS,
     QueryMode,
     brute_query,
     line_2flat_query,
@@ -301,7 +304,7 @@ class TestClassifyBox:
             for q in queries:
                 ctx = rt._Run(st, q, QueryMode.REPORT)
                 for j in range(st.n):
-                    sig = ctx.sigma(j)
+                    counted_in, zero = ctx.sigma(j)
                     for level, spec in enumerate(st.levels):
                         pt = st.points[level][j]
                         assert len(pt) == spec.dim
@@ -309,9 +312,9 @@ class TestClassifyBox:
                         lo, hi = rt._form_range(ctx.forms[level], pt, pt)
                         assert lo == hi == _value(ctx.forms[level], pt)
                         s = (lo > 0) - (lo < 0)
-                        if level < len(sig):
-                            assert sig[level] == s, (setup, level)
-                        for target in {p[spec.group] * spec.role for p in st.passes}:
+                        if counted_in is not None:
+                            assert s * spec.role == counted_in if s else zero, (setup, level)
+                        for target in {p * spec.role for p in st.passes}:
                             assert rt._classify(lo, hi, target) == _expected_class({s}, target)
 
     def test_root_box_crossing_when_mixed(self, rng):
@@ -539,6 +542,14 @@ def _lattice_triangles(rng, count):
     return tris
 
 
+def _signs_times_roles(run, j):
+    """Every level's sign of object j against the run's query, from the
+    plain dot product, times the level's role."""
+    st = run.struct
+    return [((v > 0) - (v < 0)) * spec.role for spec, form, pts in zip(st.levels, run.forms, st.points)
+            for v in [_value(form, pts[j])]]
+
+
 class TestLeafFallbacks:
     """The leaf's direct-solver fallback never gets a sign tuple that the
     problem's sign decision already misses, and the reports still equal the
@@ -553,12 +564,10 @@ class TestLeafFallbacks:
         zero_calls = []
 
         def checked(run, j):
-            sig, levels = run.sigma(j), run.struct.levels
-            assert len(sig) == len(levels)
-            for g in {l.group for l in levels}:
-                signs = {s * l.role for s, l in zip(sig, levels) if l.group == g}
-                assert not {1, -1} <= signs, (sig, g)
-            zero_calls.append(0 in sig)
+            # no strict + beside a strict - across all levels
+            signs = _signs_times_roles(run, j)
+            assert not {1, -1} <= set(signs), signs
+            zero_calls.append(0 in signs)
             return witness(run, j)
 
         monkeypatch.setattr(rt._Run, "witness", checked)
@@ -573,6 +582,47 @@ class TestLeafFallbacks:
                     assert rep == brute_query(setup, queries, inputs, mode), \
                         (setup, leaf_min, sigma, mode)
         assert any(zero_calls)
+
+
+def _piercing_segments(rng, tets, m):
+    """Segments through rational interior points of the tetrahedra."""
+    segs = []
+    while len(segs) < m:
+        v = rng.choice(tets).vertices
+        w = [rng.randint(1, 4) for _ in range(4)]
+        p = [F(sum(k * x[c] for k, x in zip(w, v)), sum(w)) for c in range(4)]
+        d = rnd_point(rng, 6)
+        if any(d):
+            segs.append(Segment4(Point4(*(x - y for x, y in zip(p, d))),
+                                 Point4(*(x + y for x, y in zip(p, d)))))
+    return segs
+
+
+@pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TRI_TRI, rt.SETUP_TETRA_SEG))
+def test_one_sign_per_hit(setup):
+    # every pair that the problem's exact test accepts has one nonzero level
+    # sign, times the roles, over all levels: the proofs at _oriented_plane
+    # and _tri_vectors, checked on random and lattice scenes
+    rng = random.Random(5)
+    tets, segs = _degenerate_scene(rng, 12, 120)
+    tris = _lattice_triangles(rng, 24)
+    rtets = [rnd_tetra(rng, 3, 6) for _ in range(30)]
+    rsegs = _piercing_segments(rng, rtets, 80)
+    scenes = {rt.SETUP_SEG_TETRA: ((rtets, rsegs), (tets, segs)),
+              rt.SETUP_TETRA_SEG: ((rsegs, rtets), (segs, tets)),
+              rt.SETUP_TRI_TRI: (_scene(rng, setup, 40, 40, 2, 6), (tris[:12], tris[12:]))}
+    hit = PROBLEMS[setup].hit
+    hits = []
+    for inputs, queries in scenes[setup]:
+        st = rt.build(inputs, setup, StorageBudget.from_sigma(len(inputs), 2))
+        for q in queries:
+            run = rt._Run(st, q, QueryMode.REPORT)
+            for j in range(st.n):
+                if hit(run.query, st.prepared[j]):
+                    signs = _signs_times_roles(run, j)
+                    hits.append(0 in signs)
+                    assert not {1, -1} <= set(signs), (setup, signs)
+    assert len(hits) > 100 and 0 < sum(hits) < len(hits)
 
 
 def test_setup_iii_is_setup_i_transposed():
@@ -610,11 +660,30 @@ def _int_boxes_meet(p, q):
     return all(a <= d and c <= b for a, b, c, d in zip(plo, phi, qlo, qhi))
 
 
+def _facet_products(tet, seg):
+    """The facet dot products a leaf takes for the pair: none when both
+    endpoints are strictly on one side of the hyperplane, else the facets up
+    to and including the first whose calibrated sign opposes the endpoint
+    side sign (the strict one of -s sign(va) and s sign(vb), s = eps[0]),
+    else all four."""
+    sa, sb = _endpoint_sides(tet, seg)
+    if sa * sb > 0:
+        return 0
+    pre = TetraPre(tet)
+    side = (-pre.eps[0] * sa) or (pre.eps[0] * sb)
+    side = (side > 0) - (side < 0)
+    for i, (e, f) in enumerate(zip(pre.eps, pre.facets)):
+        if side and e * orient5(seg.a, seg.b, *f) == -side:
+            return i + 1
+    return 4
+
+
 @pytest.mark.parametrize("setup", (rt.SETUP_SEG_TETRA, rt.SETUP_TETRA_SEG))
 def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
     # at sigma = 2 every pair whose boxes meet reaches a leaf once and is
     # scanned; of those, only the pairs whose endpoints are not strictly on
-    # one side of the hyperplane pay four dot products
+    # one side of the hyperplane pay facet dot products, and each stops at
+    # the first facet that opposes the endpoints' side
     rng = random.Random(7)
     tets = [rnd_tetra(rng, 8, 8) for _ in range(40)]
     segs = [rnd_segment(rng, 8, 8) for _ in range(30)]
@@ -629,7 +698,9 @@ def test_facet_tests_only_for_straddling_pairs(monkeypatch, setup):
     assert stats.leaf_items_scanned == len(near)
     straddling = sum(sa * sb <= 0 for t, e in near for sa, sb in [_endpoint_sides(t, e)])
     assert 0 < straddling < len(sin) * len(sq)
-    assert len(calls) == 4 * straddling
+    expected = [_facet_products(t, e) for t, e in near]
+    assert len(calls) == sum(expected)
+    assert 0 < expected.count(4) < straddling
 
 
 def _xy_triangle(rng, kind, crange=3):
